@@ -38,7 +38,6 @@
 #include "obs/hooks.hpp"
 #include "protocols/bsls.hpp"
 #include "protocols/protocol_set.hpp"
-#include "queue/msg_queue.hpp"
 #include "queue/payload_pool.hpp"
 #include "runtime/shm_channel.hpp"
 #include "runtime/sysv_transport.hpp"
@@ -608,160 +607,6 @@ int run_fanin_bench(std::uint32_t channels, std::uint64_t messages,
   return ok ? 0 : 1;
 }
 
-// ---- --engine: queue-engine bake-off (raw MsgQueue, cross-process) ----
-//
-// The per-topology numbers the engine policy decision rests on, measured
-// through the MsgQueue facade so dispatch cost is included:
-//   pair:     single-process enqueue+dequeue round trip, uncontended —
-//             the engine's floor;
-//   pingpong: two processes, request/reply queues, spin with yield —
-//             the contended latency shape (the two-lock engine's known
-//             weak spot: ~2.5 us/op on this box vs ~50 ns uncontended);
-//   mpsc:     4 producer processes blasting one queue, one consumer —
-//             the pool-shard topology under idle-steal-style contention.
-// One "[engine] {...}" JSON line per engine for record_bench.sh.
-
-struct EngineReport {
-  double pair_ns = 0;
-  double pingpong_msgs_per_ms = 0;
-  double mpsc_msgs_per_ms = 0;
-  bool ok = false;
-};
-
-EngineReport run_engine_point(QueueEngine engine, std::uint64_t messages,
-                              bool pin) {
-  EngineReport rep;
-  rep.ok = true;
-
-  {  // Uncontended pair.
-    ShmRegion region = ShmRegion::create_anonymous(8 * 1024 * 1024);
-    ShmArena arena = ShmArena::format(region);
-    NodePool* pool = NodePool::create(arena, 4096);
-    MsgQueue* q = MsgQueue::create(arena, pool, 0, engine);
-    const Message msg(Op::kEcho, 0, 1.0);
-    Message out;
-    Stopwatch sw;
-    for (std::uint64_t i = 0; i < messages; ++i) {
-      rep.ok &= q->enqueue(msg);
-      rep.ok &= q->dequeue(&out);
-    }
-    rep.pair_ns = static_cast<double>(sw.elapsed_ns()) /
-                  static_cast<double>(messages);
-  }
-
-  {  // Cross-process ping-pong.
-    ShmRegion region = ShmRegion::create_anonymous(8 * 1024 * 1024);
-    ShmArena arena = ShmArena::format(region);
-    NodePool* pool = NodePool::create(arena, 256);
-    MsgQueue* request = MsgQueue::create(arena, pool, 64, engine);
-    MsgQueue* reply = MsgQueue::create(arena, pool, 64, engine);
-    ChildProcess server = ChildProcess::spawn([&] {
-      if (pin) pin_to_cpu(0);
-      Message m;
-      for (std::uint64_t i = 0; i < messages; ++i) {
-        while (!request->dequeue(&m)) sched_yield();
-        while (!reply->enqueue(m)) sched_yield();
-      }
-      return 0;
-    });
-    if (pin) pin_to_cpu(0);
-    Message m;
-    Stopwatch sw;
-    for (std::uint64_t i = 0; i < messages; ++i) {
-      while (!request->enqueue(Message(Op::kEcho, 0,
-                                       static_cast<double>(i)))) {
-        sched_yield();
-      }
-      while (!reply->dequeue(&m)) sched_yield();
-    }
-    const double elapsed_ms = static_cast<double>(sw.elapsed_ns()) / 1e6;
-    rep.ok &= server.join() == 0;
-    if (elapsed_ms > 0) {
-      rep.pingpong_msgs_per_ms =
-          static_cast<double>(messages) / elapsed_ms;
-    }
-  }
-
-  {  // MPSC: 4 producers, one consumer (the shard topology).
-    constexpr std::uint32_t kProducers = 4;
-    ShmRegion region = ShmRegion::create_anonymous(8 * 1024 * 1024);
-    ShmArena arena = ShmArena::format(region);
-    NodePool* pool = NodePool::create(arena, 1024);
-    MsgQueue* q = MsgQueue::create(arena, pool, 512, engine);
-    std::vector<ChildProcess> producers;
-    for (std::uint32_t p = 0; p < kProducers; ++p) {
-      producers.push_back(ChildProcess::spawn([&] {
-        if (pin) pin_to_cpu(0);
-        for (std::uint64_t i = 0; i < messages; ++i) {
-          while (!q->enqueue(Message(Op::kEcho, 0,
-                                     static_cast<double>(i)))) {
-            sched_yield();
-          }
-        }
-        return 0;
-      }));
-    }
-    if (pin) pin_to_cpu(0);
-    const std::uint64_t total = messages * kProducers;
-    Message m;
-    Stopwatch sw;
-    for (std::uint64_t got = 0; got < total;) {
-      if (q->dequeue(&m)) {
-        ++got;
-      } else {
-        sched_yield();
-      }
-    }
-    const double elapsed_ms = static_cast<double>(sw.elapsed_ns()) / 1e6;
-    for (ChildProcess& p : producers) rep.ok &= p.join() == 0;
-    if (elapsed_ms > 0) {
-      rep.mpsc_msgs_per_ms = static_cast<double>(total) / elapsed_ms;
-    }
-  }
-  return rep;
-}
-
-int run_engine_bench(const std::string& engine_arg, std::uint64_t messages,
-                     bool pin) {
-  std::vector<QueueEngine> engines;
-  QueueEngine parsed = QueueEngine::kTwoLock;
-  if (engine_arg == "both") {
-    engines = {QueueEngine::kTwoLock, QueueEngine::kLockFree};
-  } else if (parse_queue_engine(engine_arg, &parsed)) {
-    engines = {parsed};
-  } else {
-    std::cerr << "--engine wants twolock|lockfree|both, got '" << engine_arg
-              << "'\n";
-    return 1;
-  }
-
-  std::cout << "Queue-engine bake-off (MsgQueue facade, " << messages
-            << " msgs per point" << (pin ? ", pinned" : "") << ")\n\n";
-  TextTable table({"engine", "pair ns", "pingpong msgs/ms", "mpsc4 msgs/ms"});
-  int failed = 0;
-  for (const QueueEngine engine : engines) {
-    const EngineReport r = run_engine_point(engine, messages, pin);
-    if (!r.ok) {
-      std::cout << "[shape MISMATCH] engine " << queue_engine_name(engine)
-                << " run failed\n";
-      ++failed;
-      continue;
-    }
-    table.add_row({queue_engine_name(engine), TextTable::num(r.pair_ns, 1),
-                   TextTable::num(r.pingpong_msgs_per_ms, 1),
-                   TextTable::num(r.mpsc_msgs_per_ms, 1)});
-    std::printf(
-        "[engine] {\"engine\":\"%s\",\"messages\":%llu,\"pair_ns\":%.1f,"
-        "\"pingpong_msgs_per_ms\":%.1f,\"mpsc_producers\":4,"
-        "\"mpsc_msgs_per_ms\":%.1f}\n",
-        queue_engine_name(engine),
-        static_cast<unsigned long long>(messages), r.pair_ns,
-        r.pingpong_msgs_per_ms, r.mpsc_msgs_per_ms);
-  }
-  table.render(std::cout);
-  return failed;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -771,18 +616,6 @@ int main(int argc, char** argv) {
   const bool batched = args.has_flag("batched");
   const bool registry_dump = args.has_flag("registry-dump");
   const bool phases = args.has_flag("phases");
-  // --engine=twolock|lockfree|both selects the raw queue-engine bake-off
-  // axis (uncontended pair, contended ping-pong, 4-producer MPSC through
-  // the MsgQueue facade) instead of the per-protocol latency table. To run
-  // the PROTOCOL table under a pinned engine, use the ULIPC_QUEUE_ENGINE
-  // env instead — it reaches every channel this binary (and its forked
-  // children) builds.
-  if (const auto engine = args.value("engine"); engine.has_value()) {
-    return run_engine_bench(*engine,
-                            static_cast<std::uint64_t>(args.value_or(
-                                "messages", std::int64_t{20'000})),
-                            pin);
-  }
   // --payload=N|sweep selects the payload-plane bytes/s axis instead of
   // the per-protocol latency table.
   if (const auto payload = args.value("payload"); payload.has_value()) {

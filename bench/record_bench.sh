@@ -65,19 +65,7 @@ FANIN_MESSAGES="${ULIPC_BENCH_FANIN_MESSAGES:-200}"
 if [ -x "$BENCH_DIR/fig11b_server_pool" ]; then
   "$BENCH_DIR/fig11b_server_pool" "--messages=$MESSAGES" \
     > "$TMP/pool.txt" 2>&1 || true
-  # Same shard topology with the lock-free engine pinned via env (inherited
-  # by the forked workers/clients), so both engines' pool-shard numbers land
-  # in the trajectory. Trees from before the engine axis run the default
-  # engine twice — the parser tags the leg, not the binary.
-  ULIPC_QUEUE_ENGINE=lockfree "$BENCH_DIR/fig11b_server_pool" \
-    "--messages=$MESSAGES" > "$TMP/pool_lockfree.txt" 2>&1 || true
 fi
-# Queue-engine bake-off ("[engine]" JSON lines): uncontended pair ns,
-# cross-process contended ping-pong, and 4-producer MPSC through the
-# MsgQueue facade, one line per engine. Binaries from before --engine
-# contribute no "[engine]" lines.
-"$BENCH_DIR/latency_percentiles" --engine=both "--messages=$MESSAGES" \
-  > "$TMP/engine.txt" 2>&1 || true
 # Scenario engine ("[scenario]" JSON lines with per-run SLO pass/fail), if
 # ulipc-perf is built. || true: a chaos SLO failure is a data point to
 # record, not a reason to lose the rest of the snapshot — and a crashed run
@@ -171,32 +159,6 @@ def pool_lines(path):
                 continue
     return rows
 
-def engine_lines(path):
-    # "[engine] {...}" JSON lines from latency_percentiles --engine=both:
-    # one per queue engine (twolock/lockfree), bake-off numbers through the
-    # MsgQueue facade. Validated per line; malformed lines are dropped.
-    rows, dropped = {}, 0
-    if not os.path.exists(path):
-        return rows, dropped
-    with open(path, errors="replace") as f:
-        for line in f:
-            if not line.startswith("[engine] "):
-                continue
-            try:
-                rec = json.loads(line[len("[engine] "):])
-                name = rec.pop("engine")
-                for key in ("pair_ns", "pingpong_msgs_per_ms",
-                            "mpsc_msgs_per_ms"):
-                    if not isinstance(rec[key], (int, float)):
-                        raise KeyError(key)
-                rows[name] = rec
-            except (ValueError, KeyError, TypeError):
-                dropped += 1
-    if dropped:
-        print(f"warning: dropped {dropped} malformed [engine] line(s)",
-              file=sys.stderr)
-    return rows, dropped
-
 def fanin_lines(path):
     # "[fanin] {...}" JSON lines from latency_percentiles --fanin=N: the
     # readiness-plane point (1 waitset worker, N channels). The run may
@@ -288,12 +250,6 @@ if payload:
 pool = pool_lines(os.path.join(tmp, "pool.txt"))
 if pool:
     doc["server_pool"] = pool
-pool_lf = pool_lines(os.path.join(tmp, "pool_lockfree.txt"))
-if pool_lf:
-    doc["server_pool_lockfree"] = pool_lf
-engines, _ = engine_lines(os.path.join(tmp, "engine.txt"))
-if engines:
-    doc["queue_engines"] = engines
 fanin, _ = fanin_lines(os.path.join(tmp, "fanin.txt"))
 if fanin:
     doc["fanin"] = fanin
@@ -332,17 +288,6 @@ if pool:
     point["pool_msgs_per_ms"] = {
         str(p["workers"]): p["msgs_per_ms"] for p in pool
         if "workers" in p and "msgs_per_ms" in p}
-if pool_lf:
-    point["pool_msgs_per_ms_lockfree"] = {
-        str(p["workers"]): p["msgs_per_ms"] for p in pool_lf
-        if "workers" in p and "msgs_per_ms" in p}
-if engines:
-    point["engine_pair_ns"] = {
-        k: v["pair_ns"] for k, v in engines.items()}
-    point["engine_pingpong_msgs_per_ms"] = {
-        k: v["pingpong_msgs_per_ms"] for k, v in engines.items()}
-    point["engine_mpsc_msgs_per_ms"] = {
-        k: v["mpsc_msgs_per_ms"] for k, v in engines.items()}
 if fanin:
     point["fanin_bytes_per_s"] = {
         str(p["channels"]): p["bytes_per_s"] for p in fanin}

@@ -28,8 +28,8 @@
 #include <string>
 #include <vector>
 
+#include "queue/ms_two_lock_queue.hpp"
 #include "queue/msg_pool.hpp"
-#include "queue/msg_queue.hpp"
 #include "queue/payload_pool.hpp"
 #include "runtime/native_platform.hpp"
 
@@ -60,7 +60,7 @@ struct InvariantReport {
 /// configuration banks tokens in the kernel where only the owner process
 /// can see them, so SysV scenarios should pass no endpoints.
 inline InvariantReport check_invariants(
-    NodePool& pool, const std::vector<MsgQueue*>& queues,
+    NodePool& pool, const std::vector<TwoLockQueue*>& queues,
     PayloadPool* payloads = nullptr,
     const std::vector<NativeEndpoint*>& endpoints = {}) {
   InvariantReport r;
@@ -68,7 +68,9 @@ inline InvariantReport check_invariants(
   std::vector<char> free_mark(pool.capacity(), 0);
   pool.mark_free(free_mark);
   std::vector<char> reach_mark(pool.capacity(), 0);
-  for (MsgQueue* q : queues) r.queued_nodes += q->mark_reachable(reach_mark);
+  for (TwoLockQueue* q : queues) {
+    r.queued_nodes += q->mark_reachable(reach_mark);
+  }
 
   for (std::uint32_t i = 0; i < pool.capacity(); ++i) {
     const bool is_free = free_mark[i] != 0;
@@ -80,7 +82,7 @@ inline InvariantReport check_invariants(
     } else if (!is_free && !is_reach) {
       r.violations.push_back(
           "node " + std::to_string(i) + " leaked (owner pid " +
-          std::to_string(pool.node(i).owner_pid) + ")");
+          std::to_string(node_load(pool.node(i).owner_pid)) + ")");
     }
   }
   if (pool.free_count() != r.free_nodes) {

@@ -24,10 +24,9 @@
 //    sections touch without a common lock: the enqueuer link-publishes
 //    old_tail->next under the TAIL lock while a dequeuer reads it under the
 //    HEAD lock. That store is therefore a release and every dequeue-side
-//    read of a possibly-live next link an acquire (next_ref()), which also
-//    orders the node's msg writes before the consumer's copy-out. Links of
-//    nodes that are private (pre-linked chain, detached run, both locks
-//    held) stay plain accesses;
+//    read of a possibly-live next link an acquire, which also orders the
+//    node's msg writes before the consumer's copy-out. Every other node
+//    access is relaxed (the MsgNode access rule in queue/msg_pool.hpp);
 //  * the head/tail locks are RobustSpinlocks: if a process dies inside a
 //    critical section, the next contender steals the lock after a liveness
 //    probe and runs a repair path. The enqueue critical section orders its
@@ -71,27 +70,20 @@ class TwoLockQueue {
   static TwoLockQueue* create(ShmArena& arena, NodePool* pool,
                               std::uint32_t capacity = 0) {
     auto* q = arena.construct<TwoLockQueue>();
-    q->init(pool, capacity);
+    q->pool_.set(pool);
+    q->capacity_ = capacity == 0 ? std::numeric_limits<std::uint32_t>::max()
+                                 : capacity;
+    const ShmIndex dummy = pool->allocate();
+    ULIPC_INVARIANT(dummy != kNullIndex, "pool exhausted creating queue");
+    node_store(pool->node(dummy).owner_pid, 0);  // the dummy is the queue's
+    q->head_.value = dummy;
+    q->tail_.value = dummy;
     return q;
   }
 
   TwoLockQueue() = default;
   TwoLockQueue(const TwoLockQueue&) = delete;
   TwoLockQueue& operator=(const TwoLockQueue&) = delete;
-
-  /// Second-phase constructor (the MsgQueue facade placement-news the
-  /// engine of its choice and then inits it).
-  void init(NodePool* pool, std::uint32_t capacity) {
-    pool_.set(pool);
-    capacity_ = capacity == 0 ? std::numeric_limits<std::uint32_t>::max()
-                              : capacity;
-    const ShmIndex dummy = pool->allocate();
-    ULIPC_INVARIANT(dummy != kNullIndex, "pool exhausted creating queue");
-    pool->node(dummy).next = kNullIndex;
-    pool->node(dummy).owner_pid = 0;  // the dummy belongs to the queue
-    head_.value = dummy;
-    tail_.value = dummy;
-  }
 
   /// Appends a message. Returns false (queue full) if the capacity bound is
   /// reached or the node pool is exhausted. `stamp` rides in the node next
@@ -114,18 +106,14 @@ class TwoLockQueue {
       return false;
     }
     MsgNode& node = pool.node(node_idx);
-    // Word stores, not plain assignment: in a mixed-engine pool a slow
-    // lock-free dequeuer may still be (atomically) reading this recycled
-    // node's bytes — see lf_copy_words in queue/msg_pool.hpp.
-    lf_copy_words(&node.msg, &msg, sizeof(Message));
-    lf_copy_words(&node.span, &stamp, sizeof(SpanStamp));
-    node.next = kNullIndex;
+    node_store(node.msg, msg);
+    node_store(node.span, stamp);
     explore::point(explore::Point::kQEnqueueNodeReady);
     {
       RobustGuard g(tail_lock_.value);
       if (g.stolen()) repair_tail_from_head(pool);
-      next_ref(pool.node(tail_.value))
-          .store(node_idx, std::memory_order_release);
+      node_store(pool.node(tail_.value).next, node_idx,
+                 std::memory_order_release);
       explore::point(explore::Point::kQEnqueueLinked);
       tail_.value = node_idx;
     }
@@ -161,14 +149,12 @@ class TwoLockQueue {
       const ShmIndex idx = pool.allocate();
       if (idx == kNullIndex) break;  // pool exhausted: splice what we have
       MsgNode& node = pool.node(idx);
-      lf_copy_words(&node.msg, &msgs[got], sizeof(Message));
-      const SpanStamp sp = got == 0 ? stamp : SpanStamp{};
-      lf_copy_words(&node.span, &sp, sizeof(SpanStamp));
-      node.next = kNullIndex;
+      node_store(node.msg, msgs[got]);
+      node_store(node.span, got == 0 ? stamp : SpanStamp{});
       if (first == kNullIndex) {
         first = idx;
       } else {
-        pool.node(last).next = idx;
+        node_store(pool.node(last).next, idx);
       }
       last = idx;
     }
@@ -179,7 +165,8 @@ class TwoLockQueue {
     {
       RobustGuard g(tail_lock_.value);
       if (g.stolen()) repair_tail_from_head(pool);
-      next_ref(pool.node(tail_.value)).store(first, std::memory_order_release);
+      node_store(pool.node(tail_.value).next, first,
+                 std::memory_order_release);
       explore::point(explore::Point::kQEnqueueLinked);
       tail_.value = last;
     }
@@ -200,17 +187,17 @@ class TwoLockQueue {
       explore::point(explore::Point::kQDequeueLocked);
       old_head = head_.value;
       const ShmIndex next =
-          next_ref(pool.node(old_head)).load(std::memory_order_acquire);
+          node_load(pool.node(old_head).next, std::memory_order_acquire);
       if (next == kNullIndex) return false;  // only the dummy remains
-      *out = pool.node(next).msg;  // new dummy keeps its (copied-out) msg
-      if (stamp != nullptr) *stamp = pool.node(next).span;
+      *out = node_load(pool.node(next).msg);  // new dummy keeps its msg
+      if (stamp != nullptr) *stamp = node_load(pool.node(next).span);
       // Take ownership of the dummy BEFORE detaching it: once head_
       // advances it is unreachable, and the recovery sweep only reclaims
       // unreachable nodes with a provably-dead owner. The initial dummy's
       // owner is 0 (the queue's), and a later dummy's owner is whichever
       // enqueuer brought it — likely still alive; either way, if we die
       // between the advance and release(), nobody could reclaim it.
-      pool.node(old_head).owner_pid = robust_self_pid();
+      node_store(pool.node(old_head).owner_pid, robust_self_pid());
       head_.value = next;
       explore::point(explore::Point::kQDequeueAdvanced);
     }
@@ -243,18 +230,19 @@ class TwoLockQueue {
       // who may be alive — a crash between the head advance and the
       // releases below must leave the run reclaimable by the sweep.
       const std::uint32_t me = robust_self_pid();
-      pool.node(head).owner_pid = me;
+      node_store(pool.node(head).owner_pid, me);
       if (stamp != nullptr) *stamp = SpanStamp{};
       while (got < max) {
         const ShmIndex next =
-            next_ref(pool.node(head)).load(std::memory_order_acquire);
+            node_load(pool.node(head).next, std::memory_order_acquire);
         if (next == kNullIndex) break;
-        out[got++] = pool.node(next).msg;
-        if (stamp != nullptr && pool.node(next).span.traced()) {
-          *stamp = pool.node(next).span;
+        out[got++] = node_load(pool.node(next).msg);
+        if (stamp != nullptr) {
+          const SpanStamp sp = node_load(pool.node(next).span);
+          if (sp.traced()) *stamp = sp;
         }
         head = next;
-        pool.node(head).owner_pid = me;
+        node_store(pool.node(head).owner_pid, me);
       }
       if (got == 0) return 0;
       head_.value = head;  // the last dequeued node is the new dummy
@@ -265,7 +253,7 @@ class TwoLockQueue {
     // links are still intact (release() may repurpose them, so read each
     // link before releasing its node); no other process can reach them.
     for (std::uint32_t i = 0; i < got; ++i) {
-      const ShmIndex next = pool.node(chain).next;
+      const ShmIndex next = node_load(pool.node(chain).next);
       pool.release(chain);
       chain = next;
     }
@@ -306,7 +294,7 @@ class TwoLockQueue {
     std::uint32_t visited = 0;
     for (ShmIndex i = head_.value;
          i != kNullIndex && visited <= pool.capacity();
-         i = pool.node(i).next) {
+         i = node_load(pool.node(i).next)) {
       mark[i] = 1;
       ++visited;
     }
@@ -331,10 +319,10 @@ class TwoLockQueue {
     repair_tail_under_both_locks(pool);
     std::uint32_t visited = 0;
     ShmIndex i = head_.value;
-    if (i != kNullIndex) i = pool.node(i).next;  // skip the dummy
+    if (i != kNullIndex) i = node_load(pool.node(i).next);  // skip the dummy
     for (; i != kNullIndex && visited < pool.capacity();
-         i = pool.node(i).next) {
-      fn(pool.node(i).msg);
+         i = node_load(pool.node(i).next)) {
+      fn(node_load(pool.node(i).msg));
       ++visited;
     }
   }
@@ -364,23 +352,16 @@ class TwoLockQueue {
     const ShmIndex node_idx = pool.allocate();
     if (node_idx == kNullIndex) return kNullIndex;
     MsgNode& node = pool.node(node_idx);
-    const SpanStamp sp{};
-    lf_copy_words(&node.msg, &msg, sizeof(Message));
-    lf_copy_words(&node.span, &sp, sizeof(SpanStamp));
-    node.next = kNullIndex;
+    node_store(node.msg, msg);
+    node_store(node.span, SpanStamp{});
     (void)tail_lock_.value.lock();
-    next_ref(pool.node(tail_.value))
-        .store(node_idx, std::memory_order_release);
+    node_store(pool.node(tail_.value).next, node_idx,
+               std::memory_order_release);
     // Deliberately neither advances tail_ nor unlocks.
     return node_idx;
   }
 
  private:
-  /// Atomic view of a node's next link for the enqueue-side publication and
-  /// the dequeue-side reads that may race with it (see the header comment).
-  static std::atomic_ref<ShmIndex> next_ref(MsgNode& n) noexcept {
-    return std::atomic_ref<ShmIndex>(n.next);
-  }
   /// Fixes the one invariant a dead enqueuer can break: tail_ must point
   /// at the last linked node. Caller holds the tail lock; this briefly
   /// takes the head lock too (tail-then-head order) because the stale
@@ -394,8 +375,10 @@ class TwoLockQueue {
   void repair_tail_under_both_locks(NodePool& pool) noexcept {
     ShmIndex last = head_.value;
     std::uint32_t hops = 0;
-    while (pool.node(last).next != kNullIndex && hops <= pool.capacity()) {
-      last = pool.node(last).next;
+    for (ShmIndex next = node_load(pool.node(last).next);
+         next != kNullIndex && hops <= pool.capacity();
+         next = node_load(pool.node(last).next)) {
+      last = next;
       ++hops;
     }
     tail_.value = last;

@@ -20,6 +20,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <type_traits>
 #include <vector>
 
 #include "common/cacheline.hpp"
@@ -34,74 +35,61 @@ namespace ulipc {
 /// node sits on the free list), the message payload, and the causal-trace
 /// stamp riding next to it (see SpanStamp in queue/message.hpp — the stamp
 /// is per-node metadata precisely so the wire Message stays 24 bytes).
-///
-/// `next` is the two-lock engine's link AND the free-list link (a node is
-/// never in both roles at once). `lf_next` is the lock-free engine's link:
-/// a {tag:32, index:32} word CASed without any lock, where the tag bumps on
-/// every write — each link publication and each release() — so a stale CAS
-/// against a recycled node can never succeed (ABA window = 2^32 writes of
-/// one node's link, an accepted caveat documented in DESIGN.md §18). The
-/// tag doubles as the node's generation for crash-ownership announcements
-/// (see DequeueAnnounce below). Always access lf_next through
-/// std::atomic_ref.
+/// `next` is the queue link AND the free-list link (a node is never in
+/// both roles at once). Access every field through node_load/node_store.
 struct MsgNode {
   ShmIndex next = kNullIndex;
   std::uint32_t owner_pid = 0;
-  std::uint64_t lf_next = 0;
   Message msg;
   SpanStamp span;
 };
-static_assert(alignof(MsgNode) >= 8 && sizeof(MsgNode) % 8 == 0,
-              "lf_next and the word-copied msg/span need 8-byte alignment");
 
-/// Packing helpers for the {tag:32, index:32} words used by lf_next, the
-/// lock-free queue's head/tail, and the dequeue announcements.
-constexpr std::uint64_t lf_pack(std::uint32_t tag, ShmIndex idx) noexcept {
-  return (static_cast<std::uint64_t>(tag) << 32) | idx;
-}
-constexpr std::uint32_t lf_tag(std::uint64_t w) noexcept {
-  return static_cast<std::uint32_t>(w >> 32);
-}
-constexpr ShmIndex lf_idx(std::uint64_t w) noexcept {
-  return static_cast<ShmIndex>(w & 0xFFFFFFFFu);
+// The access rule for MsgNode fields: every read and write is a relaxed
+// atomic access through node_load/node_store. A node travels between the
+// threads of one process through other processes (a worker thread
+// releases it, a forked client allocates, fills and links it, another
+// worker thread dequeues it), and ThreadSanitizer cannot see a
+// happens-before edge that runs through another process, so plain
+// accesses would be reported as races. Atomic accesses never race in its
+// model. On x86-64 a relaxed access is the same plain move. Ordering is
+// carried only where a caller passes one: the queue's release store and
+// acquire load of the link publish a filled node.
+
+/// Atomic load of one scalar field.
+template <typename T>
+  requires std::is_scalar_v<T>
+[[nodiscard]] T node_load(
+    const T& field, std::memory_order mo = std::memory_order_relaxed) noexcept {
+  return std::atomic_ref<T>(const_cast<T&>(field)).load(mo);
 }
 
-/// Relaxed atomic word copy for node msg/span bytes. The lock-free engine
-/// reads a node's payload BEFORE its head CAS validates the read, so that
-/// copy can race a recycler refilling the node — and since one pool may
-/// feed queues of both engines, EVERY fill of a pool node (either engine)
-/// must use word stores too, or the plain store would race the lock-free
-/// reader's atomic load. Ordering is never carried here: publication is
-/// the engines' release link-store / acquire link-load pair.
-inline void lf_copy_words(void* dst, const void* src,
-                          std::size_t bytes) noexcept {
-  auto* d = static_cast<std::uint64_t*>(dst);
-  auto* s = static_cast<std::uint64_t*>(const_cast<void*>(src));
-  for (std::size_t i = 0; i < bytes / 8; ++i) {
-    std::atomic_ref<std::uint64_t>(d[i]).store(
-        std::atomic_ref<std::uint64_t>(s[i]).load(std::memory_order_relaxed),
-        std::memory_order_relaxed);
-  }
+/// Atomic store of one scalar field.
+template <typename T>
+  requires std::is_scalar_v<T>
+void node_store(T& field, std::type_identity_t<T> value,
+                std::memory_order mo = std::memory_order_relaxed) noexcept {
+  std::atomic_ref<T>(field).store(value, mo);
 }
-static_assert(sizeof(Message) % 8 == 0 && alignof(Message) >= 8,
-              "Message must word-copy cleanly");
-static_assert(sizeof(SpanStamp) % 8 == 0 && alignof(SpanStamp) >= 8,
-              "SpanStamp must word-copy cleanly");
 
-/// One lock-free dequeue announcement slot (see NodePool::announce_*): the
-/// claiming thread's pid plus a {lf_next tag, node index} word naming the
-/// node it is about to detach with a head CAS. The two-lock engine stamps
-/// owner_pid on the old dummy BEFORE advancing head — safe under the head
-/// lock, but a data hazard without it (a slow loser's late stamp could land
-/// on a node a third process already recycled). Lock-free dequeuers instead
-/// publish intent here pre-CAS and the recovery sweep reclaims an announced
-/// node only when every announcer of it is dead AND the node's lf_next tag
-/// still equals the announced tag (i.e. nobody released it since).
-struct DequeueAnnounce {
-  std::uint32_t pid = 0;
-  std::uint32_t pad = 0;
-  std::uint64_t val = 0;  // lf_pack(tag, idx); 0 = no announcement
-};
+// The payload and the stamp are copied field by field. message.hpp pins
+// both sizes, so neither can grow a field that these copies would miss.
+[[nodiscard]] inline Message node_load(const Message& m) noexcept {
+  return Message(node_load(m.opcode), node_load(m.channel),
+                 node_load(m.value), node_load(m.ext_offset));
+}
+inline void node_store(Message& m, const Message& v) noexcept {
+  node_store(m.opcode, v.opcode);
+  node_store(m.channel, v.channel);
+  node_store(m.value, v.value);
+  node_store(m.ext_offset, v.ext_offset);
+}
+[[nodiscard]] inline SpanStamp node_load(const SpanStamp& s) noexcept {
+  return SpanStamp{node_load(s.id), node_load(s.tick)};
+}
+inline void node_store(SpanStamp& s, const SpanStamp& v) noexcept {
+  node_store(s.id, v.id);
+  node_store(s.tick, v.tick);
+}
 
 class NodePool {
  public:
@@ -114,9 +102,8 @@ class NodePool {
     pool->capacity_ = capacity;
     // Thread every node onto the free list.
     for (std::uint32_t i = 0; i < capacity; ++i) {
-      nodes[i].next = (i + 1 < capacity) ? i + 1 : kNullIndex;
-      nodes[i].owner_pid = 0;
-      nodes[i].lf_next = lf_pack(0, kNullIndex);
+      node_store(nodes[i].next, i + 1 < capacity ? i + 1 : kNullIndex);
+      node_store(nodes[i].owner_pid, 0);
     }
     pool->free_head_ = 0;
     pool->free_count_ = capacity;
@@ -134,22 +121,21 @@ class NodePool {
     if (g.stolen()) recount_free_locked();
     const ShmIndex idx = free_head_;
     if (idx == kNullIndex) return kNullIndex;
-    free_head_ = node(idx).next;
-    node(idx).next = kNullIndex;
-    node(idx).owner_pid = robust_self_pid();
+    free_head_ = node_load(node(idx).next);
+    node_store(node(idx).next, kNullIndex);
+    node_store(node(idx).owner_pid, robust_self_pid());
     --free_count_;
     return idx;
   }
 
-  /// Returns a node to the pool. Also retires the node's lock-free link:
-  /// the tag bump (under the pool lock, atomically — stale validated
-  /// readers may still be loading the word) is what makes every
-  /// outstanding CAS expecting the old link fail, and what invalidates any
-  /// dequeue announcement naming this node.
+  /// Returns a node to the pool.
   void release(ShmIndex idx) noexcept {
     RobustGuard g(lock_.value);
     if (g.stolen()) recount_free_locked();
-    release_locked(idx);
+    node_store(node(idx).owner_pid, 0);
+    node_store(node(idx).next, free_head_);
+    free_head_ = idx;
+    ++free_count_;
   }
 
   [[nodiscard]] MsgNode& node(ShmIndex idx) noexcept {
@@ -157,11 +143,6 @@ class NodePool {
   }
   [[nodiscard]] const MsgNode& node(ShmIndex idx) const noexcept {
     return nodes_.get()[idx];
-  }
-
-  /// Atomic view of a node's lock-free link (see MsgNode::lf_next).
-  [[nodiscard]] std::atomic_ref<std::uint64_t> lf_next(ShmIndex idx) noexcept {
-    return std::atomic_ref<std::uint64_t>(node(idx).lf_next);
   }
 
   [[nodiscard]] std::uint32_t capacity() const noexcept { return capacity_; }
@@ -174,134 +155,6 @@ class NodePool {
   /// The free-list lock, for recovery tooling and tests.
   [[nodiscard]] RobustSpinlock& lock() noexcept { return lock_.value; }
 
-  // ---- lock-free dequeue announcements ----
-  //
-  // The lock-free engine's dequeue has a crash window the owner-pid stamp
-  // cannot cover: between winning the head CAS and release(), the detached
-  // old dummy is reachable from nowhere and its owner_pid is whichever
-  // enqueuer brought it (likely alive). A dequeuer therefore announces
-  // (node, lf_next tag) BEFORE each CAS attempt and clears the slot only
-  // AFTER the release. The sweep reclaims an announced node iff every
-  // process announcing it is dead, the node is neither free nor reachable,
-  // and its lf_next tag still equals the announced tag — a live loser's
-  // stale announcement merely defers the reclaim to a later sweep, and the
-  // release-side tag bump makes double-reclaims structurally impossible.
-  // Slots are claimed per thread (one live announcement per thread);
-  // dead claimants' slots are stolen. On the (never observed) exhaustion
-  // of all slots a dequeuer proceeds unannounced: the post-CAS owner stamp
-  // in the lock-free engine still covers everything but the single
-  // instruction between the CAS and that stamp.
-
-  static constexpr std::uint32_t kAnnounceSlots = 64;
-
-  /// Claims (or re-finds) an announcement slot for the calling thread.
-  /// Returns kNoAnnounceSlot when all slots are held by live processes.
-  static constexpr int kNoAnnounceSlot = -1;
-  int announce_slot() noexcept {
-    struct Cache {
-      NodePool* pool = nullptr;
-      std::uint32_t pid = 0;
-      int slot = kNoAnnounceSlot;
-    };
-    thread_local Cache cache;
-    const std::uint32_t me = robust_self_pid();
-    if (cache.pool == this && cache.pid == me &&
-        cache.slot != kNoAnnounceSlot) {
-      return cache.slot;
-    }
-    for (std::uint32_t s = 0; s < kAnnounceSlots; ++s) {
-      std::atomic_ref<std::uint32_t> pid(announce_[s].pid);
-      std::uint32_t cur = pid.load(std::memory_order_acquire);
-      if (cur == me) {
-        // A forked child inherits the parent's cached slot pointer but not
-        // its pid; conversely after fork the PARENT's slot shows our pid
-        // only if we claimed it ourselves. Either way matching pid = ours.
-        cache = {this, me, static_cast<int>(s)};
-        return cache.slot;
-      }
-      if (cur != 0 && process_alive(cur)) continue;
-      if (pid.compare_exchange_strong(cur, me, std::memory_order_acq_rel)) {
-        // Stolen from a corpse: its stale announcement (if any) must not
-        // survive under our name.
-        std::atomic_ref<std::uint64_t>(announce_[s].val)
-            .store(0, std::memory_order_release);
-        cache = {this, me, static_cast<int>(s)};
-        return cache.slot;
-      }
-    }
-    return kNoAnnounceSlot;
-  }
-
-  void announce_dequeue(int slot, ShmIndex idx, std::uint32_t tag) noexcept {
-    if (slot == kNoAnnounceSlot) return;
-    std::atomic_ref<std::uint64_t>(announce_[slot].val)
-        .store(lf_pack(tag, idx), std::memory_order_release);
-  }
-
-  void clear_announce(int slot) noexcept {
-    if (slot == kNoAnnounceSlot) return;
-    std::atomic_ref<std::uint64_t>(announce_[slot].val)
-        .store(0, std::memory_order_release);
-  }
-
-  /// Recovery: reclaims nodes announced by dead dequeuers (see the block
-  /// comment above). `mark` is the free+reachable set the sweep computed;
-  /// a marked node is either still in a queue (the announcer died before
-  /// its CAS) or already back on the free list — both untouchable here.
-  /// Returns the number reclaimed. Caller serializes sweeps.
-  template <typename LivenessFn>
-  std::uint32_t reclaim_announced_dead(const std::vector<char>& mark,
-                                       LivenessFn&& is_alive) noexcept {
-    std::uint32_t reclaimed = 0;
-    for (std::uint32_t s = 0; s < kAnnounceSlots; ++s) {
-      const std::uint32_t pid =
-          std::atomic_ref<std::uint32_t>(announce_[s].pid)
-              .load(std::memory_order_acquire);
-      if (pid == 0 || is_alive(pid)) continue;
-      const std::uint64_t val =
-          std::atomic_ref<std::uint64_t>(announce_[s].val)
-              .load(std::memory_order_acquire);
-      if (val == 0) continue;
-      const ShmIndex idx = lf_idx(val);
-      if (idx >= capacity_ || mark[idx]) continue;
-      // A LIVE announcer of the same node is (or may be) the CAS winner
-      // that actually holds the release duty — it just hasn't released
-      // yet. Defer; its clear/overwrite or death resolves the next sweep.
-      bool live_claim = false;
-      for (std::uint32_t t = 0; t < kAnnounceSlots && !live_claim; ++t) {
-        if (t == s) continue;
-        const std::uint32_t tp =
-            std::atomic_ref<std::uint32_t>(announce_[t].pid)
-                .load(std::memory_order_acquire);
-        if (tp == 0 || !is_alive(tp)) continue;
-        const std::uint64_t tv =
-            std::atomic_ref<std::uint64_t>(announce_[t].val)
-                .load(std::memory_order_acquire);
-        live_claim = tv != 0 && lf_idx(tv) == idx;
-      }
-      if (live_claim) continue;
-      {
-        RobustGuard g(lock_.value);
-        if (g.stolen()) recount_free_locked();
-        // Tag revalidation under the pool lock: a release since the
-        // announcement bumped the tag (including a reclaim of this same
-        // node via another dead announcer's slot earlier this loop).
-        if (lf_tag(lf_next(idx).load(std::memory_order_relaxed)) !=
-            lf_tag(val)) {
-          continue;
-        }
-        release_locked(idx);
-        ++reclaimed;
-      }
-      // The corpse's slot is spent: free it for live threads to claim.
-      std::atomic_ref<std::uint64_t>(announce_[s].val)
-          .store(0, std::memory_order_release);
-      std::atomic_ref<std::uint32_t>(announce_[s].pid)
-          .store(0, std::memory_order_release);
-    }
-    return reclaimed;
-  }
-
   // ---- recovery primitives (see queue/queue_recovery.hpp) ----
 
   /// Marks every index currently on the free list in `mark` (which must
@@ -310,7 +163,7 @@ class NodePool {
     RobustGuard g(lock_.value);
     std::uint32_t count = 0;
     for (ShmIndex i = free_head_;
-         i != kNullIndex && count < capacity_; i = node(i).next) {
+         i != kNullIndex && count < capacity_; i = node_load(node(i).next)) {
       mark[i] = 1;
       ++count;
     }
@@ -328,7 +181,7 @@ class NodePool {
     std::uint32_t reclaimed = 0;
     for (ShmIndex i = 0; i < capacity_; ++i) {
       if (mark[i]) continue;
-      const std::uint32_t owner = node(i).owner_pid;
+      const std::uint32_t owner = node_load(node(i).owner_pid);
       if (owner != 0 && !is_alive(owner)) {
         release(i);
         ++reclaimed;
@@ -338,23 +191,12 @@ class NodePool {
   }
 
  private:
-  /// release() body, pool lock already held.
-  void release_locked(ShmIndex idx) noexcept {
-    const std::uint64_t lf = lf_next(idx).load(std::memory_order_relaxed);
-    lf_next(idx).store(lf_pack(lf_tag(lf) + 1, kNullIndex),
-                       std::memory_order_release);
-    node(idx).owner_pid = 0;
-    node(idx).next = free_head_;
-    free_head_ = idx;
-    ++free_count_;
-  }
-
   /// Walks the free list under the (already held) lock and resets
   /// free_count_ — the only field a corpse can leave stale.
   void recount_free_locked() noexcept {
     std::uint32_t count = 0;
     for (ShmIndex i = free_head_;
-         i != kNullIndex && count < capacity_; i = node(i).next) {
+         i != kNullIndex && count < capacity_; i = node_load(node(i).next)) {
       ++count;
     }
     free_count_ = count;
@@ -365,7 +207,6 @@ class NodePool {
   std::uint32_t free_count_ = 0;
   std::uint32_t capacity_ = 0;
   OffsetPtr<MsgNode> nodes_;
-  alignas(kCacheLineSize) DequeueAnnounce announce_[kAnnounceSlots] = {};
 };
 
 }  // namespace ulipc

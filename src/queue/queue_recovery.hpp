@@ -30,7 +30,7 @@
 #include <vector>
 
 #include "explore/hooks.hpp"
-#include "queue/msg_queue.hpp"
+#include "queue/ms_two_lock_queue.hpp"
 #include "queue/msg_pool.hpp"
 #include "queue/payload_pool.hpp"
 #include "shm/robust_spinlock.hpp"
@@ -49,7 +49,7 @@ struct RecoveryStats {
 /// Callers must serialize sweeps against each other.
 template <typename LivenessFn>
 RecoveryStats sweep_leaked_nodes(NodePool& pool,
-                                 const std::vector<MsgQueue*>& queues,
+                                 const std::vector<TwoLockQueue*>& queues,
                                  PayloadPool* payloads,
                                  LivenessFn&& is_alive) {
   RecoveryStats stats;
@@ -57,7 +57,7 @@ RecoveryStats sweep_leaked_nodes(NodePool& pool,
 
   std::vector<char> node_mark(pool.capacity(), 0);
   pool.mark_free(node_mark);
-  for (MsgQueue* q : queues) q->mark_reachable(node_mark);
+  for (TwoLockQueue* q : queues) q->mark_reachable(node_mark);
   explore::point(explore::Point::kSweepMarked);
 
   if (payloads != nullptr) {
@@ -71,7 +71,7 @@ RecoveryStats sweep_leaked_nodes(NodePool& pool,
     // live holder of a delivered payload is protected by the owner stamp
     // (loan/adopt), and a dead holder's slot has to be reclaimable, or
     // every drained queue would leak its last messages' slots forever.
-    for (MsgQueue* q : queues) {
+    for (TwoLockQueue* q : queues) {
       q->for_each_pending([&](const Message& m) {
         if (m.ext_offset != PayloadPool::kNoPayload &&
             payloads->owns_token(m.ext_offset)) {
@@ -83,20 +83,14 @@ RecoveryStats sweep_leaked_nodes(NodePool& pool,
         payloads->reclaim_unmarked_dead(slot_mark, is_alive);
   }
 
-  // Lock-free dequeue announcements first: a dequeuer that died between
-  // its winning head CAS and release() published the node here pre-CAS
-  // (see NodePool::announce_dequeue). Reclaiming announced nodes releases
-  // them (owner := 0), so the generic owner-stamp pass below cannot
-  // double-release the same node.
-  stats.nodes_reclaimed += pool.reclaim_announced_dead(node_mark, is_alive);
-  stats.nodes_reclaimed += pool.reclaim_unmarked_dead(node_mark, is_alive);
+  stats.nodes_reclaimed = pool.reclaim_unmarked_dead(node_mark, is_alive);
   explore::point(explore::Point::kSweepDone);
   return stats;
 }
 
 /// Convenience overload probing real process liveness via kill(pid, 0).
 inline RecoveryStats sweep_leaked_nodes(
-    NodePool& pool, const std::vector<MsgQueue*>& queues,
+    NodePool& pool, const std::vector<TwoLockQueue*>& queues,
     PayloadPool* payloads = nullptr) {
   return sweep_leaked_nodes(pool, queues, payloads,
                             [](std::uint32_t pid) {

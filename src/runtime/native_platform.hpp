@@ -29,7 +29,7 @@
 #include "obs/span.hpp"
 #include "obs/trace_ring.hpp"
 #include "protocols/platform.hpp"
-#include "queue/msg_queue.hpp"
+#include "queue/ms_two_lock_queue.hpp"
 #include "queue/spsc_ring.hpp"
 #include "runtime/doorbell.hpp"
 #include "shm/futex_semaphore.hpp"
@@ -55,12 +55,11 @@ enum class SemKind : std::uint8_t {
 /// carry a lock-free SpscRing as the fast path; `ring` stays unset on the
 /// MPSC server receive endpoint. Routing (see enqueue/dequeue below) keeps
 /// FIFO order across the two structures: the producer uses the ring only
-/// while the overflow queue (a MsgQueue of either engine) is empty, and
-/// the consumer always drains the ring before the overflow queue, so a
-/// message in the overflow
-/// queue is always newer than everything in the ring.
+/// while the overflow queue is empty, and the consumer always drains the
+/// ring before the overflow queue, so a message in the overflow queue is
+/// always newer than everything in the ring.
 struct NativeEndpoint {
-  OffsetPtr<MsgQueue> queue;
+  OffsetPtr<TwoLockQueue> queue;
   OffsetPtr<SpscRing> ring;  // null on MPSC endpoints
   AwakeFlag awake;
   FutexSemaphore fsem;

@@ -406,7 +406,7 @@ ScenarioResult run_scenario(const ScenarioSpec& spec) {
   // any still-occupied corpse seats, run the sweep, and require the free
   // list to hold exactly its initial population again.
   Message leftover;
-  for (MsgQueue* q : channel.all_queues()) {
+  for (TwoLockQueue* q : channel.all_queues()) {
     while (q->dequeue(&leftover)) {
     }
   }

@@ -56,7 +56,7 @@ std::size_t ShmChannel::required_bytes(const Config& cfg) {
   const std::size_t pool_nodes = queues * (cfg.queue_capacity + 2);
   std::size_t bytes = sizeof(ArenaHeader) + sizeof(ShmChannelHeader);
   bytes += sizeof(NodePool) + pool_nodes * sizeof(MsgNode);
-  bytes += queues * (sizeof(NativeEndpoint) + sizeof(MsgQueue));
+  bytes += queues * (sizeof(NativeEndpoint) + sizeof(TwoLockQueue));
   // SPSC rings on every endpoint except the server's (slot count is the
   // queue capacity rounded up to a power of two).
   std::size_t ring_slots = 1;
@@ -107,11 +107,9 @@ ShmChannel ShmChannel::create(ShmRegion& region, const Config& cfg) {
   // one server replies, the one owning client reads) and for the duplex
   // request endpoints (one client writes, one server thread reads) — but
   // NOT for the shared server receive endpoint, which all clients write.
-  auto build_endpoint = [&](std::uint32_t id, int sem_index, bool with_ring,
-                            QueueEngine engine) {
+  auto build_endpoint = [&](std::uint32_t id, int sem_index, bool with_ring) {
     auto* ep = ch.arena_.construct<NativeEndpoint>();
-    ep->queue.set(
-        MsgQueue::create(ch.arena_, pool, cfg.queue_capacity, engine));
+    ep->queue.set(TwoLockQueue::create(ch.arena_, pool, cfg.queue_capacity));
     if (with_ring) {
       ep->ring.set(SpscRing::create(ch.arena_, cfg.queue_capacity));
     }
@@ -125,26 +123,22 @@ ShmChannel ShmChannel::create(ShmRegion& region, const Config& cfg) {
   // thread/process than the shard owner, so replies must go through the
   // MP-safe two-lock queue — no SPSC reply rings.
   const bool reply_ring = cfg.shards == 0;
-  ch.header_->srv_ep_offset =
-      build_endpoint(0, 0, /*with_ring=*/false, cfg.engines.server);
+  ch.header_->srv_ep_offset = build_endpoint(0, 0, /*with_ring=*/false);
   for (std::uint32_t i = 0; i < cfg.max_clients; ++i) {
     ch.header_->client_ep_offset[i] =
-        build_endpoint(i, static_cast<int>(i) + 1, reply_ring,
-                       cfg.engines.reply);
+        build_endpoint(i, static_cast<int>(i) + 1, reply_ring);
   }
   if (cfg.duplex) {
     for (std::uint32_t i = 0; i < cfg.max_clients; ++i) {
       ch.header_->client_req_ep_offset[i] = build_endpoint(
-          i, static_cast<int>(cfg.max_clients + i) + 1, /*with_ring=*/true,
-          cfg.engines.reply);
+          i, static_cast<int>(cfg.max_clients + i) + 1, /*with_ring=*/true);
     }
   }
   if (cfg.shards > 0) {
     ch.header_->num_shards = cfg.shards;
     for (std::uint32_t s = 0; s < cfg.shards; ++s) {
       ch.header_->shard_ep_offset[s] = build_endpoint(
-          s, static_cast<int>(cfg.max_clients + s) + 1, /*with_ring=*/false,
-          cfg.engines.shard);
+          s, static_cast<int>(cfg.max_clients + s) + 1, /*with_ring=*/false);
     }
     ch.header_->shard_map.init(cfg.shards);
   }
@@ -273,8 +267,8 @@ ShmChannel::ReclaimStats ShmChannel::reclaim_client(std::uint32_t i) noexcept {
   return stats;
 }
 
-std::vector<MsgQueue*> ShmChannel::all_queues() {
-  std::vector<MsgQueue*> queues;
+std::vector<TwoLockQueue*> ShmChannel::all_queues() {
+  std::vector<TwoLockQueue*> queues;
   queues.push_back(server_endpoint().queue.get());
   for (std::uint32_t c = 0; c < header_->max_clients; ++c) {
     queues.push_back(client_endpoint(c).queue.get());

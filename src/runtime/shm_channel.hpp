@@ -22,10 +22,9 @@
 #include "protocols/channel.hpp"
 #include "protocols/platform.hpp"
 #include "protocols/shard_map.hpp"
+#include "queue/ms_two_lock_queue.hpp"
 #include "queue/msg_pool.hpp"
-#include "queue/msg_queue.hpp"
 #include "queue/payload_pool.hpp"
-#include "queue/queue_engine.hpp"
 #include "runtime/native_platform.hpp"
 #include "shm/process.hpp"
 #include "shm/robust_spinlock.hpp"
@@ -155,11 +154,6 @@ class ShmChannel {
     // max_clients). payload_max_bytes == 0 builds no plane at all.
     std::uint32_t payload_max_bytes = 4096;
     std::uint32_t payload_slots_per_class = 0;
-    // Which queue engine backs each endpoint topology (see
-    // queue/queue_engine.hpp). Defaults honor the compile-time default plus
-    // the ULIPC_QUEUE_ENGINE environment override, so CI/bench pinning
-    // needs no code change; embedders can still set fields explicitly.
-    QueueEnginePolicy engines = QueueEnginePolicy::from_env();
   };
 
   /// Formats `region` and builds all channel structures inside it.
@@ -354,11 +348,11 @@ class ShmChannel {
   /// other clients keep trafficking the channel.
   ReclaimStats reclaim_client(std::uint32_t i) noexcept;
 
-  /// Every MsgQueue drawing from this channel's node pool — the exact
+  /// Every queue drawing from this channel's node pool — the exact
   /// list a recovery sweep must mark (a queue left out would have its
   /// in-flight nodes misread as leaks). Includes shard queues on pool
   /// channels.
-  [[nodiscard]] std::vector<MsgQueue*> all_queues();
+  [[nodiscard]] std::vector<TwoLockQueue*> all_queues();
 
   /// Publishes one recovery event (counters + the shared recovery ring).
   /// Caller must hold the header's recovery lock, which serializes every

@@ -117,7 +117,12 @@ WaitSet::~WaitSet() {
     members_.clear();
   }
   if (bridge_) {
-    bridge_->shutdown.store(true, std::memory_order_relaxed);
+    {
+      // Under the bridge's mutex, or the store and notify can land between
+      // the bridge thread's predicate check and its wait, and join() hangs.
+      std::lock_guard<std::mutex> lk(bridge_->mu);
+      bridge_->shutdown.store(true, std::memory_order_relaxed);
+    }
     bridge_->cv.notify_one();
     if (bridge_->thr.joinable()) bridge_->thr.join();
     if (bridge_->efd >= 0) close(bridge_->efd);

@@ -3,16 +3,12 @@
 // via explore::check_invariants(). Each test targets one structural hazard
 // of the enqueue/dequeue/wake paths:
 //   * a node allocated but never linked (dies before the link publication),
-//   * a corpse past the link with the tail lagging its linked node (two-lock:
-//     dies holding the tail lock; lock-free: dies before its tail swing),
+//   * a corpse past the link with the tail lagging its linked node (dies
+//     holding the tail lock),
 //   * the same, but on the Nth enqueue of a burst (nth-hit arming),
 //   * a corpse past the head advance with the detached dummy unreleased
-//     (two-lock: inside the head lock; lock-free: past its head CAS),
+//     (dies inside the head lock),
 //   * a producer dying between its tas(awake) and its V.
-// The whole suite is TEST_P over the queue engines: both engines reuse the
-// same kQ* markers at their analogous linearization steps, so each test
-// body proves the same reclaim guarantee against both recovery disciplines
-// (lock steal + repair vs announcements + helping).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -36,13 +32,12 @@ using explore::kMarkerMissed;
 using explore::Point;
 using explore::run_victim_to_crash;
 
-class CrashPointTest : public ::testing::TestWithParam<QueueEngine> {
+class CrashPointTest : public ::testing::Test {
  protected:
   CrashPointTest() {
     ShmChannel::Config cfg;
     cfg.max_clients = 4;
     cfg.queue_capacity = 16;
-    cfg.engines.server = cfg.engines.reply = cfg.engines.shard = GetParam();
     region_ = ShmRegion::create_anonymous(ShmChannel::required_bytes(cfg));
     channel_.emplace(ShmChannel::create(region_, cfg));
     free0_ = channel_->node_pool().free_count();
@@ -60,7 +55,7 @@ class CrashPointTest : public ::testing::TestWithParam<QueueEngine> {
   std::uint32_t free0_ = 0;
 };
 
-TEST_P(CrashPointTest, VictimThatNeverReachesTheMarkerReportsMissed) {
+TEST_F(CrashPointTest, VictimThatNeverReachesTheMarkerReportsMissed) {
   // Arm a marker the enqueue path never passes: the victim runs to
   // completion and the harness must say so instead of reporting a crash.
   ChildProcess victim =
@@ -76,7 +71,7 @@ TEST_P(CrashPointTest, VictimThatNeverReachesTheMarkerReportsMissed) {
   EXPECT_TRUE(invariants().ok()) << invariants().to_string();
 }
 
-TEST_P(CrashPointTest, DeathBeforeLinkLeaksOnlyThePrivateNode) {
+TEST_F(CrashPointTest, DeathBeforeLinkLeaksOnlyThePrivateNode) {
   // SIGKILL after the node is allocated and filled but before the tail
   // lock: the node is invisible to every queue — exactly what the global
   // sweep exists for.
@@ -99,7 +94,7 @@ TEST_P(CrashPointTest, DeathBeforeLinkLeaksOnlyThePrivateNode) {
   EXPECT_TRUE(invariants().ok()) << invariants().to_string();
 }
 
-TEST_P(CrashPointTest, DeathInsideTailLockIsStolenAndRepaired) {
+TEST_F(CrashPointTest, DeathInsideTailLockIsStolenAndRepaired) {
   // SIGKILL with the tail lock held and tail_ lagging the linked node: the
   // next enqueuer must steal the lock, repair the tail by walking from
   // head, and append AFTER the victim's message — nothing lost, nothing
@@ -122,7 +117,7 @@ TEST_P(CrashPointTest, DeathInsideTailLockIsStolenAndRepaired) {
   EXPECT_TRUE(invariants().ok()) << invariants().to_string();
 }
 
-TEST_P(CrashPointTest, NthHitArmingCrashesOnTheNthEnqueue) {
+TEST_F(CrashPointTest, NthHitArmingCrashesOnTheNthEnqueue) {
   // The victim survives two full enqueues and dies inside the third's
   // critical section — nth-hit arming reaches crash points deep into a
   // run, not just the first dynamic hit.
@@ -150,7 +145,7 @@ TEST_P(CrashPointTest, NthHitArmingCrashesOnTheNthEnqueue) {
   EXPECT_TRUE(invariants().ok()) << invariants().to_string();
 }
 
-TEST_P(CrashPointTest, DeathInsideHeadLockLeaksTheDetachedDummy) {
+TEST_F(CrashPointTest, DeathInsideHeadLockLeaksTheDetachedDummy) {
   // Pre-fill three messages, then SIGKILL the consumer right after it
   // advances head_ (old dummy detached but not yet released, size_ not yet
   // decremented). The next dequeuer steals the head lock and continues;
@@ -182,7 +177,7 @@ TEST_P(CrashPointTest, DeathInsideHeadLockLeaksTheDetachedDummy) {
   EXPECT_TRUE(invariants().ok()) << invariants().to_string();
 }
 
-TEST_P(CrashPointTest, DeathBetweenTasAndWakeLeavesConsistentState) {
+TEST_F(CrashPointTest, DeathBetweenTasAndWakeLeavesConsistentState) {
   // The producer dies AFTER publishing the message and setting the awake
   // flag but BEFORE its V. No token was banked and none is owed: the flag
   // it set means any consumer reaching C.3 (or C.1) finds the message
@@ -205,16 +200,6 @@ TEST_P(CrashPointTest, DeathBetweenTasAndWakeLeavesConsistentState) {
   EXPECT_EQ(channel_->node_pool().free_count(), free0_);
   EXPECT_TRUE(invariants().ok()) << invariants().to_string();
 }
-
-INSTANTIATE_TEST_SUITE_P(Engines, CrashPointTest,
-                         ::testing::Values(QueueEngine::kTwoLock,
-                                           QueueEngine::kLockFree),
-                         [](const ::testing::TestParamInfo<QueueEngine>& i) {
-                           return std::string(queue_engine_name(i.param)) ==
-                                          "twolock"
-                                      ? "TwoLock"
-                                      : "LockFree";
-                         });
 
 }  // namespace
 }  // namespace ulipc

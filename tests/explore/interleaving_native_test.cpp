@@ -1,8 +1,7 @@
 // The paper's Figure-4 interleavings pinned as replayable schedules on the
-// NATIVE protocol stack (real MsgQueue, real futex semaphore), TEST_P over
-// both queue engines: the interleavings live in the protocol layer (C.1-C.5
-// vs P.1-P.3), so each engine must produce the same pinned, replayable
-// traces through its own enqueue/dequeue markers.
+// NATIVE protocol stack (real two-lock queue, real futex semaphore): the
+// interleavings live in the protocol layer (C.1-C.5 vs P.1-P.3), and the
+// queue's enqueue/dequeue markers must replay them exactly.
 //
 // Each test finds its target interleaving with a deterministic switch-point
 // scan: schedules of the form 0^L 1^K run the consumer (tid 0, lowest
@@ -98,12 +97,10 @@ struct Interleaving1Run {
   std::string invariants;
 };
 
-Interleaving1Run run_interleaving1(const std::vector<std::uint32_t>& sched,
-                                   QueueEngine engine) {
+Interleaving1Run run_interleaving1(const std::vector<std::uint32_t>& sched) {
   ShmChannel::Config cfg;
   cfg.max_clients = 4;
   cfg.queue_capacity = 16;
-  cfg.engines.server = cfg.engines.reply = cfg.engines.shard = engine;
   ShmRegion region = ShmRegion::create_anonymous(ShmChannel::required_bytes(cfg));
   ShmChannel channel = ShmChannel::create(region, cfg);
   NativeEndpoint& ep = channel.server_endpoint();
@@ -144,12 +141,10 @@ Interleaving1Run run_interleaving1(const std::vector<std::uint32_t>& sched,
   return r;
 }
 
-class InterleavingNative : public ::testing::TestWithParam<QueueEngine> {};
-
-TEST_P(InterleavingNative, PaperInterleaving1PinnedAndReplayable) {
+TEST(InterleavingNative, PaperInterleaving1PinnedAndReplayable) {
   std::optional<Interleaving1Run> found;
   for (std::size_t zeros = 1; zeros <= 20 && !found; ++zeros) {
-    Interleaving1Run r = run_interleaving1(switch_schedule(zeros), GetParam());
+    Interleaving1Run r = run_interleaving1(switch_schedule(zeros));
     if (r.ran_ok && r.matched) found = std::move(r);
   }
   ASSERT_TRUE(found.has_value())
@@ -159,8 +154,8 @@ TEST_P(InterleavingNative, PaperInterleaving1PinnedAndReplayable) {
   // trace, twice.
   const std::vector<std::uint32_t> pinned =
       explore::parse_schedule(found->schedule);
-  const Interleaving1Run first = run_interleaving1(pinned, GetParam());
-  const Interleaving1Run second = run_interleaving1(pinned, GetParam());
+  const Interleaving1Run first = run_interleaving1(pinned);
+  const Interleaving1Run second = run_interleaving1(pinned);
   EXPECT_TRUE(first.ran_ok && second.ran_ok);
   EXPECT_TRUE(first.matched) << "pinned schedule lost the interleaving\n"
                              << first.trace;
@@ -197,12 +192,10 @@ struct Interleaving2Run {
   std::string invariants;
 };
 
-Interleaving2Run run_interleaving2(const std::vector<std::uint32_t>& sched,
-                                   QueueEngine engine) {
+Interleaving2Run run_interleaving2(const std::vector<std::uint32_t>& sched) {
   ShmChannel::Config cfg;
   cfg.max_clients = 4;
   cfg.queue_capacity = 16;
-  cfg.engines.server = cfg.engines.reply = cfg.engines.shard = engine;
   ShmRegion region = ShmRegion::create_anonymous(ShmChannel::required_bytes(cfg));
   ShmChannel channel = ShmChannel::create(region, cfg);
   NativeEndpoint& ep = channel.server_endpoint();
@@ -245,10 +238,10 @@ Interleaving2Run run_interleaving2(const std::vector<std::uint32_t>& sched,
   return r;
 }
 
-TEST_P(InterleavingNative, PaperInterleaving2SingleWakeupPinned) {
+TEST(InterleavingNative, PaperInterleaving2SingleWakeupPinned) {
   std::optional<Interleaving2Run> found;
   for (std::size_t zeros = 1; zeros <= 20 && !found; ++zeros) {
-    Interleaving2Run r = run_interleaving2(switch_schedule(zeros), GetParam());
+    Interleaving2Run r = run_interleaving2(switch_schedule(zeros));
     if (r.ran_ok && r.matched) found = std::move(r);
   }
   ASSERT_TRUE(found.has_value())
@@ -256,8 +249,8 @@ TEST_P(InterleavingNative, PaperInterleaving2SingleWakeupPinned) {
 
   const std::vector<std::uint32_t> pinned =
       explore::parse_schedule(found->schedule);
-  const Interleaving2Run first = run_interleaving2(pinned, GetParam());
-  const Interleaving2Run second = run_interleaving2(pinned, GetParam());
+  const Interleaving2Run first = run_interleaving2(pinned);
+  const Interleaving2Run second = run_interleaving2(pinned);
   EXPECT_TRUE(first.ran_ok && second.ran_ok);
   EXPECT_TRUE(first.matched) << "pinned schedule lost the interleaving\n"
                              << first.trace;
@@ -274,15 +267,6 @@ TEST_P(InterleavingNative, PaperInterleaving2SingleWakeupPinned) {
       << "coalesced wake-up must not accumulate counts";
   EXPECT_TRUE(first.invariants_ok) << first.invariants;
 }
-
-INSTANTIATE_TEST_SUITE_P(Engines, InterleavingNative,
-                         ::testing::Values(QueueEngine::kTwoLock,
-                                           QueueEngine::kLockFree),
-                         [](const ::testing::TestParamInfo<QueueEngine>& i) {
-                           return i.param == QueueEngine::kTwoLock
-                                      ? "TwoLock"
-                                      : "LockFree";
-                         });
 
 }  // namespace
 }  // namespace ulipc

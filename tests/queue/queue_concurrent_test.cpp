@@ -1,5 +1,4 @@
-// Concurrency properties every queue engine must share (TEST_P over the
-// MsgQueue engines — M&S two-lock and M&S lock-free):
+// Concurrency properties of the two-lock queue:
 //  * no message lost or duplicated under MPMC stress;
 //  * FIFO preserved per producer (the queue is globally FIFO, so each
 //    producer's messages must come out in its send order);
@@ -8,23 +7,16 @@
 #include <sched.h>
 
 #include <atomic>
+#include <string>
 #include <thread>
-#include <tuple>
 #include <vector>
 
-#include "queue/msg_queue.hpp"
+#include "queue/ms_two_lock_queue.hpp"
 #include "shm/process.hpp"
 #include "shm/shm_region.hpp"
 
 namespace ulipc {
 namespace {
-
-const QueueEngine kEngines[] = {QueueEngine::kTwoLock,
-                                QueueEngine::kLockFree};
-
-std::string engine_suffix(QueueEngine e) {
-  return e == QueueEngine::kTwoLock ? "TwoLock" : "LockFree";
-}
 
 struct MpmcParam {
   int producers;
@@ -32,17 +24,15 @@ struct MpmcParam {
   int messages_per_producer;
 };
 
-class MpmcStressTest
-    : public ::testing::TestWithParam<std::tuple<QueueEngine, MpmcParam>> {};
+class MpmcStressTest : public ::testing::TestWithParam<MpmcParam> {};
 
 TEST_P(MpmcStressTest, NoLossNoDupFifoPerProducer) {
-  const QueueEngine engine = std::get<0>(GetParam());
-  const MpmcParam param = std::get<1>(GetParam());
+  const MpmcParam param = GetParam();
   ShmRegion region = ShmRegion::create_anonymous(8 * 1024 * 1024);
   ShmArena arena = ShmArena::format(region);
   NodePool* pool = NodePool::create(
       arena, static_cast<std::uint32_t>(param.producers * 64 + 8));
-  MsgQueue* q = MsgQueue::create(arena, pool, 0, engine);
+  TwoLockQueue* q = TwoLockQueue::create(arena, pool);
 
   const int total = param.producers * param.messages_per_producer;
   std::atomic<int> consumed{0};
@@ -105,25 +95,19 @@ TEST_P(MpmcStressTest, NoLossNoDupFifoPerProducer) {
 
 INSTANTIATE_TEST_SUITE_P(
     Shapes, MpmcStressTest,
-    ::testing::Combine(
-        ::testing::ValuesIn(kEngines),
-        ::testing::Values(MpmcParam{1, 1, 20'000}, MpmcParam{2, 1, 10'000},
-                          MpmcParam{4, 1, 5'000}, MpmcParam{1, 2, 20'000},
-                          MpmcParam{2, 2, 10'000}, MpmcParam{4, 4, 5'000})),
-    [](const ::testing::TestParamInfo<std::tuple<QueueEngine, MpmcParam>>&
-           pinfo) {
-      return engine_suffix(std::get<0>(pinfo.param)) +
-             std::to_string(std::get<1>(pinfo.param).producers) + "p" +
-             std::to_string(std::get<1>(pinfo.param).consumers) + "c";
+    ::testing::Values(MpmcParam{1, 1, 20'000}, MpmcParam{2, 1, 10'000},
+                      MpmcParam{4, 1, 5'000}, MpmcParam{1, 2, 20'000},
+                      MpmcParam{2, 2, 10'000}, MpmcParam{4, 4, 5'000}),
+    [](const ::testing::TestParamInfo<MpmcParam>& pinfo) {
+      return std::to_string(pinfo.param.producers) + "p" +
+             std::to_string(pinfo.param.consumers) + "c";
     });
 
-class QueueCrossProcess : public ::testing::TestWithParam<QueueEngine> {};
-
-TEST_P(QueueCrossProcess, ProducerChildConsumerParent) {
+TEST(QueueCrossProcess, ProducerChildConsumerParent) {
   ShmRegion region = ShmRegion::create_anonymous(4 * 1024 * 1024);
   ShmArena arena = ShmArena::format(region);
   NodePool* pool = NodePool::create(arena, 128);
-  MsgQueue* q = MsgQueue::create(arena, pool, 64, GetParam());
+  TwoLockQueue* q = TwoLockQueue::create(arena, pool, 64);
   constexpr int kMessages = 50'000;
 
   ChildProcess producer = ChildProcess::spawn([&] {
@@ -148,12 +132,12 @@ TEST_P(QueueCrossProcess, ProducerChildConsumerParent) {
   EXPECT_TRUE(q->empty());
 }
 
-TEST_P(QueueCrossProcess, BidirectionalPingPong) {
+TEST(QueueCrossProcess, BidirectionalPingPong) {
   ShmRegion region = ShmRegion::create_anonymous(4 * 1024 * 1024);
   ShmArena arena = ShmArena::format(region);
   NodePool* pool = NodePool::create(arena, 64);
-  MsgQueue* request = MsgQueue::create(arena, pool, 16, GetParam());
-  MsgQueue* reply = MsgQueue::create(arena, pool, 16, GetParam());
+  TwoLockQueue* request = TwoLockQueue::create(arena, pool, 16);
+  TwoLockQueue* reply = TwoLockQueue::create(arena, pool, 16);
   constexpr int kRounds = 20'000;
 
   ChildProcess server = ChildProcess::spawn([&] {
@@ -177,11 +161,47 @@ TEST_P(QueueCrossProcess, BidirectionalPingPong) {
   EXPECT_EQ(server.join(), 0);
 }
 
-INSTANTIATE_TEST_SUITE_P(Engines, QueueCrossProcess,
-                         ::testing::ValuesIn(kEngines),
-                         [](const ::testing::TestParamInfo<QueueEngine>& i) {
-                           return engine_suffix(i.param);
-                         });
+// Request and reply queues draw on one pool, so a node is filled in one
+// process and read in the other, over and over. Every message field and the
+// span stamp must survive each trip, and the pool must balance at the end.
+TEST(QueueCrossProcess, PingPongRecyclesNodesAcrossQueues) {
+  ShmRegion region = ShmRegion::create_anonymous(4 * 1024 * 1024);
+  ShmArena arena = ShmArena::format(region);
+  NodePool* pool = NodePool::create(arena, 64);
+  TwoLockQueue* request = TwoLockQueue::create(arena, pool, 16);
+  TwoLockQueue* reply = TwoLockQueue::create(arena, pool, 16);
+  const std::uint32_t free0 = pool->free_count();
+  constexpr int kRounds = 10'000;
+
+  ChildProcess server = ChildProcess::spawn([&] {
+    Message m;
+    SpanStamp sp;
+    for (int i = 0; i < kRounds; ++i) {
+      while (!request->dequeue(&m, &sp)) sched_yield();
+      m.value += 0.5;
+      sp.tick += 1;
+      while (!reply->enqueue(m, sp)) sched_yield();
+    }
+    return 0;
+  });
+
+  for (int i = 0; i < kRounds; ++i) {
+    const auto n = static_cast<std::uint32_t>(i);
+    const Message out(Op::kCompute, n % 7, static_cast<double>(i), n * 3u);
+    while (!request->enqueue(out, SpanStamp{n + 1u, i})) sched_yield();
+    Message m;
+    SpanStamp sp;
+    while (!reply->dequeue(&m, &sp)) sched_yield();
+    ASSERT_EQ(m.opcode, Op::kCompute);
+    ASSERT_EQ(m.channel, n % 7);
+    ASSERT_DOUBLE_EQ(m.value, static_cast<double>(i) + 0.5);
+    ASSERT_EQ(m.ext_offset, n * 3u);
+    ASSERT_EQ(sp.id, n + 1u);
+    ASSERT_EQ(sp.tick, i + 1);
+  }
+  EXPECT_EQ(server.join(), 0);
+  EXPECT_EQ(pool->free_count(), free0);
+}
 
 }  // namespace
 }  // namespace ulipc

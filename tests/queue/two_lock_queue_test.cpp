@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <thread>
+#include <vector>
 
 #include "shm/shm_region.hpp"
 
@@ -48,6 +49,20 @@ TEST_F(TwoLockQueueTest, FifoOrder) {
   EXPECT_TRUE(q->empty());
 }
 
+TEST_F(TwoLockQueueTest, FifoThenDequeueFailsWhenEmpty) {
+  TwoLockQueue* q = make_queue();
+  for (int i = 0; i < 10; ++i) {
+    ASSERT_TRUE(q->enqueue(Message(Op::kEcho, 0, i)));
+  }
+  Message m;
+  for (int i = 0; i < 10; ++i) {
+    ASSERT_TRUE(q->dequeue(&m));
+    EXPECT_DOUBLE_EQ(m.value, double(i));
+  }
+  EXPECT_FALSE(q->dequeue(&m)) << "a drained queue must refuse a dequeue";
+  EXPECT_TRUE(q->empty());
+}
+
 TEST_F(TwoLockQueueTest, MessageFieldsSurviveTransit) {
   TwoLockQueue* q = make_queue();
   ASSERT_TRUE(q->enqueue(Message(Op::kCompute, 5, 3.75, 0xABCD)));
@@ -68,6 +83,20 @@ TEST_F(TwoLockQueueTest, CapacityBoundRejectsWhenFull) {
   Message m;
   EXPECT_TRUE(q->dequeue(&m));
   EXPECT_TRUE(q->enqueue(Message(Op::kEcho, 0, 0.0))) << "space reclaimed";
+}
+
+TEST_F(TwoLockQueueTest, CapacityBoundAndSizeTrack) {
+  TwoLockQueue* q = make_queue(4);
+  for (int i = 0; i < 4; ++i) {
+    ASSERT_TRUE(q->enqueue(Message(Op::kEcho, 0, i)));
+  }
+  EXPECT_FALSE(q->enqueue(Message(Op::kEcho, 0, 99)));
+  EXPECT_EQ(q->size(), 4u) << "a refused enqueue must leave the size alone";
+  Message m;
+  ASSERT_TRUE(q->dequeue(&m));
+  EXPECT_EQ(q->size(), 3u);
+  ASSERT_TRUE(q->enqueue(Message(Op::kEcho, 0, 4)));
+  EXPECT_EQ(q->size(), 4u);
 }
 
 TEST_F(TwoLockQueueTest, PoolExhaustionReportsFull) {
@@ -92,6 +121,28 @@ TEST_F(TwoLockQueueTest, NodesRecycleThroughPool) {
     EXPECT_DOUBLE_EQ(m.value, static_cast<double>(round));
   }
   EXPECT_EQ(pool_->free_count(), free_before);
+}
+
+// Each round fills one queue until the shared pool runs dry, then drains
+// it, so the next round (on the other queue) can only run on the nodes
+// this one gave back.
+TEST_F(TwoLockQueueTest, NodesRecycleThroughSharedPool) {
+  TwoLockQueue* a = make_queue();
+  TwoLockQueue* b = make_queue();
+  const std::uint32_t free0 = pool_->free_count();
+  Message m;
+  for (int round = 0; round < 4; ++round) {
+    TwoLockQueue* q = round % 2 == 0 ? a : b;
+    std::uint32_t n = 0;
+    while (q->enqueue(Message(Op::kEcho, 0, double(n)))) ++n;
+    EXPECT_EQ(n, free0) << "round " << round << " did not get every node";
+    for (std::uint32_t i = 0; i < n; ++i) {
+      ASSERT_TRUE(q->dequeue(&m));
+      EXPECT_DOUBLE_EQ(m.value, double(i));
+    }
+    EXPECT_TRUE(q->empty());
+    EXPECT_EQ(pool_->free_count(), free0);
+  }
 }
 
 TEST_F(TwoLockQueueTest, TwoQueuesShareOnePool) {
@@ -208,6 +259,69 @@ TEST_F(TwoLockQueueTest, ScalarAndBatchInterleaveFifo) {
     EXPECT_DOUBLE_EQ(out[i].value, double(i + 1));
   }
   EXPECT_TRUE(q->empty());
+}
+
+TEST_F(TwoLockQueueTest, SpanStampRidesScalarPath) {
+  TwoLockQueue* q = make_queue();
+  ASSERT_TRUE(q->enqueue(Message(Op::kEcho, 0, 1.0), SpanStamp{42, 7}));
+  Message m;
+  SpanStamp sp;
+  ASSERT_TRUE(q->dequeue(&m, &sp));
+  EXPECT_EQ(sp.id, 42u);
+  EXPECT_EQ(sp.tick, 7);
+}
+
+TEST_F(TwoLockQueueTest, BatchRoundTripPreservesOrderAndStamps) {
+  TwoLockQueue* q = make_queue();
+  Message in[8];
+  for (int i = 0; i < 8; ++i) in[i] = Message(Op::kEcho, 0, i);
+  ASSERT_EQ(q->enqueue_batch(in, 8, SpanStamp{7, 100}), 8u);
+  Message out[8];
+  SpanStamp sp;
+  ASSERT_EQ(q->dequeue_batch(out, 8, &sp), 8u);
+  for (int i = 0; i < 8; ++i) EXPECT_DOUBLE_EQ(out[i].value, double(i));
+  EXPECT_EQ(sp.id, 7u) << "the batch's single stamp must survive transit";
+  EXPECT_TRUE(q->empty());
+}
+
+TEST_F(TwoLockQueueTest, DrainDiscardsAndBalances) {
+  TwoLockQueue* q = make_queue();
+  const std::uint32_t free0 = pool_->free_count();
+  for (int i = 0; i < 12; ++i) {
+    ASSERT_TRUE(q->enqueue(Message(Op::kEcho, 0, i)));
+  }
+  EXPECT_EQ(q->drain(), 12u);
+  EXPECT_TRUE(q->empty());
+  EXPECT_EQ(pool_->free_count(), free0);
+}
+
+TEST_F(TwoLockQueueTest, MarkReachableCountsAndConserves) {
+  TwoLockQueue* q = make_queue();
+  for (int i = 0; i < 5; ++i) {
+    ASSERT_TRUE(q->enqueue(Message(Op::kEcho, 0, i)));
+  }
+  std::vector<char> mark(pool_->capacity(), 0);
+  EXPECT_EQ(q->mark_reachable(mark), 5u);
+  std::uint32_t marked = 0;
+  for (char c : mark) marked += c != 0;
+  EXPECT_EQ(marked, 6u) << "5 elements + the dummy";
+  EXPECT_EQ(q->size(), 5u) << "a quiescent recount must reseat size exactly";
+}
+
+TEST_F(TwoLockQueueTest, ForEachPendingSkipsTheDummy) {
+  TwoLockQueue* q = make_queue();
+  Message m;
+  ASSERT_TRUE(q->enqueue(Message(Op::kEcho, 0, 1.0)));
+  ASSERT_TRUE(q->dequeue(&m));  // dummy now holds a stale copy of 1.0
+  ASSERT_TRUE(q->enqueue(Message(Op::kEcho, 0, 2.0)));
+  double sum = 0.0;
+  std::uint32_t visits = 0;
+  q->for_each_pending([&](const Message& pm) {
+    sum += pm.value;
+    ++visits;
+  });
+  EXPECT_EQ(visits, 1u);
+  EXPECT_DOUBLE_EQ(sum, 2.0);
 }
 
 TEST_F(TwoLockQueueTest, ThreadedBatchProducerConsumer) {

@@ -37,20 +37,11 @@ struct CrashOut {
 
 class CrashRecoveryTest : public ::testing::Test {
  protected:
-  void build(std::uint32_t clients, bool duplex,
-             std::optional<QueueEngine> pin_engine = std::nullopt) {
+  void build(std::uint32_t clients, bool duplex) {
     ShmChannel::Config cfg;
     cfg.max_clients = clients;
     cfg.queue_capacity = 32;
     cfg.duplex = duplex;
-    if (pin_engine) {
-      // Lock-steal tests assert two-lock-specific recovery mechanics and
-      // must not follow a CI-wide ULIPC_QUEUE_ENGINE pin; the lock-free
-      // engine's analogous guarantees are covered by the engine-
-      // parametrized suites.
-      cfg.engines.server = cfg.engines.reply = cfg.engines.shard =
-          *pin_engine;
-    }
     region_ = ShmRegion::create_anonymous(ShmChannel::required_bytes(cfg));
     channel_.emplace(ShmChannel::create(region_, cfg));
     out_region_ = ShmRegion::create_anonymous(4096);
@@ -78,8 +69,8 @@ class CrashRecoveryTest : public ::testing::Test {
 // tail lock held and tail_ lagging. The next enqueuer must steal the lock,
 // repair the tail from head, and no message may be lost or duplicated.
 TEST_F(CrashRecoveryTest, TailStealRepairsHalfFinishedEnqueue) {
-  build(1, /*duplex=*/false, QueueEngine::kTwoLock);
-  MsgQueue& q = *channel_->server_endpoint().queue;
+  build(1, /*duplex=*/false);
+  TwoLockQueue& q = *channel_->server_endpoint().queue;
   const std::uint32_t free0 = channel_->node_pool().free_count();
 
   ASSERT_TRUE(q.enqueue(Message(Op::kEcho, 0, 1.0)));
@@ -92,12 +83,12 @@ TEST_F(CrashRecoveryTest, TailStealRepairsHalfFinishedEnqueue) {
   ASSERT_EQ(victim.join(), 0);
 
   // The corpse still owns the tail lock.
-  EXPECT_NE(q.two_lock().tail_lock().owner(), 0u);
-  EXPECT_NE(q.two_lock().tail_lock().owner(), robust_self_pid());
+  EXPECT_NE(q.tail_lock().owner(), 0u);
+  EXPECT_NE(q.tail_lock().owner(), robust_self_pid());
 
   // This enqueue must steal, repair, and append after the half-linked node.
   ASSERT_TRUE(q.enqueue(Message(Op::kEcho, 0, 3.0)));
-  EXPECT_EQ(q.two_lock().tail_lock().steal_count(), 1u);
+  EXPECT_EQ(q.tail_lock().steal_count(), 1u);
 
   Message m;
   ASSERT_TRUE(q.dequeue(&m));
@@ -244,7 +235,7 @@ TEST_F(CrashRecoveryTest, ServerReapsClientKilledWhileAsleep) {
 // the commit point) or drained during the reap — never stranded — and
 // recovery must steal + repair the abandoned lock.
 TEST_F(CrashRecoveryTest, ServerReapsClientKilledMidCriticalSection) {
-  build(2, /*duplex=*/true, QueueEngine::kTwoLock);
+  build(2, /*duplex=*/true);
   run_duplex_crash(
       *channel_, out_, /*clean_messages=*/500,
       [&](NativePlatform&, Bsw<NativePlatform>&, NativeEndpoint& req,
@@ -254,9 +245,9 @@ TEST_F(CrashRecoveryTest, ServerReapsClientKilledMidCriticalSection) {
       },
       /*kill_after_ready=*/false, [] {},
       /*min_echoes=*/500);
-  EXPECT_EQ(channel_->client_request_endpoint(0).queue->two_lock().tail_lock()
-                .steal_count(),
-            1u)
+  EXPECT_EQ(
+      channel_->client_request_endpoint(0).queue->tail_lock().steal_count(),
+      1u)
       << "recovery should have stolen the corpse's tail lock";
 }
 

@@ -24,9 +24,7 @@
 namespace ulipc {
 namespace {
 
-class RecoveryChurnTest : public ::testing::TestWithParam<QueueEngine> {};
-
-TEST_P(RecoveryChurnTest, SweepRacingLiveChurnReclaimsNothingAndLosesNothing) {
+TEST(RecoveryChurnTest, SweepRacingLiveChurnReclaimsNothingAndLosesNothing) {
   constexpr std::uint32_t kWorkers = 2;
   constexpr std::uint32_t kClients = 4;
   constexpr std::uint32_t kCycles = 4;
@@ -36,7 +34,6 @@ TEST_P(RecoveryChurnTest, SweepRacingLiveChurnReclaimsNothingAndLosesNothing) {
   cfg.max_clients = kClients;
   cfg.queue_capacity = 64;
   cfg.shards = kWorkers;
-  cfg.engines.server = cfg.engines.reply = cfg.engines.shard = GetParam();
   ShmRegion region =
       ShmRegion::create_anonymous(ShmChannel::required_bytes(cfg));
   ShmChannel channel = ShmChannel::create(region, cfg);
@@ -108,15 +105,6 @@ TEST_P(RecoveryChurnTest, SweepRacingLiveChurnReclaimsNothingAndLosesNothing) {
   EXPECT_EQ(channel.node_pool().free_count(), free0)
       << "node pool did not balance after churn + concurrent sweeps";
 }
-
-INSTANTIATE_TEST_SUITE_P(Engines, RecoveryChurnTest,
-                         ::testing::Values(QueueEngine::kTwoLock,
-                                           QueueEngine::kLockFree),
-                         [](const ::testing::TestParamInfo<QueueEngine>& i) {
-                           return i.param == QueueEngine::kTwoLock
-                                      ? "TwoLock"
-                                      : "LockFree";
-                         });
 
 }  // namespace
 }  // namespace ulipc

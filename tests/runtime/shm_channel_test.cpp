@@ -51,7 +51,7 @@ TEST(ShmChannel, QueueCapacityHonored) {
   ShmRegion region =
       ShmRegion::create_anonymous(ShmChannel::required_bytes(cfg));
   ShmChannel ch = ShmChannel::create(region, cfg);
-  MsgQueue& q = *ch.server_endpoint().queue;
+  TwoLockQueue& q = *ch.server_endpoint().queue;
   for (std::uint32_t i = 0; i < cfg.queue_capacity; ++i) {
     EXPECT_TRUE(q.enqueue(Message(Op::kEcho, 0, 0.0)));
   }

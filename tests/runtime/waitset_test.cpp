@@ -474,12 +474,8 @@ TEST(WaitSetCrashTest, SigkilledArmedClientIsSweptAndSlotReclaimed) {
   EXPECT_TRUE(rs.reaped);
   EXPECT_FALSE(farm.chans[0].client_crashed(0));  // seat vacated
   ASSERT_TRUE(victim_ep.queue->enqueue(Message(Op::kEcho, 0, 3.0)));
-  if (victim_ep.queue->engine() == QueueEngine::kTwoLock) {
-    // Two-lock: that enqueue had to steal the corpse's tail lock. The
-    // lock-free engine has no lock to steal — its lagging tail was helped
-    // forward instead, observable only through the successful enqueue.
-    EXPECT_GE(victim_ep.queue->two_lock().tail_lock().steal_count(), 1u);
-  }
+  // That enqueue had to steal the corpse's tail lock.
+  EXPECT_GE(victim_ep.queue->tail_lock().steal_count(), 1u);
   ASSERT_TRUE(victim_ep.queue->dequeue(&m));
   EXPECT_EQ(m.value, 3.0);
 
