@@ -39,7 +39,7 @@ namespace ulipc::explore {
 enum class Point : std::int32_t {
   kNone = 0,
   // TwoLockQueue
-  kQEnqueueNodeReady,  // node filled, tail lock not yet taken
+  kQEnqueueNodeReady,  // node (batch: chain) filled, tail lock not taken
   kQEnqueueLinked,     // next-pointer published, tail not yet swung
   kQEnqueueDone,       // tail lock released
   kQDequeueLocked,     // head lock held, head not yet advanced

@@ -13,10 +13,12 @@
 //     only the dead shard's clients move (the classic HRW property).
 //
 // Write serialization is by convention, not by lock: a client writes only
-// its own assignment cell (at connect/disconnect), and re-placement after a
-// worker death runs under the channel's recovery lock. The per-shard
-// statistic cells (steal/migration) are written by whichever worker did the
-// stealing/migrating; they are plain relaxed counters.
+// its own assignment cell (at connect/disconnect), least-loaded placement
+// claims its shard's count by CAS so that clients connecting at once
+// spread out, and re-placement after a worker death runs under the
+// channel's recovery lock. The per-shard statistic cells (steal/migration)
+// are written by whichever worker did the stealing/migrating; they are
+// plain relaxed counters.
 #pragma once
 
 #include <atomic>
@@ -106,9 +108,11 @@ struct ShardMap {
   }
 
   /// Chooses an ACTIVE shard for `client` under `policy` without assigning
-  /// it. Returns kNoShard iff no shard is active.
-  [[nodiscard]] std::uint32_t pick(std::uint32_t client,
-                                   PlacementPolicy policy) const noexcept {
+  /// it. Returns kNoShard iff no shard is active. Under kLeastLoaded,
+  /// `load_out` (if given) receives the assigned count read for the pick.
+  [[nodiscard]] std::uint32_t pick(
+      std::uint32_t client, PlacementPolicy policy,
+      std::uint32_t* load_out = nullptr) const noexcept {
     const std::uint32_t n = count();
     std::uint32_t best = kNoShard;
     if (policy == PlacementPolicy::kRendezvous) {
@@ -132,6 +136,7 @@ struct ShardMap {
           best_load = load;
         }
       }
+      if (load_out != nullptr) *load_out = best_load;
     }
     return best;
   }
@@ -151,10 +156,31 @@ struct ShardMap {
     return s;
   }
 
-  /// pick() + assign(): the connect-time placement step.
+  /// The connect-time placement step; returns the client's shard.
+  /// Rendezvous is pick() + assign(). Least-loaded claims its shard with a
+  /// CAS on `assigned` from the load pick() read, and re-picks if another
+  /// client got there first: a plain pick-then-assign lets clients
+  /// connecting at once all take the same least-loaded shard.
   std::uint32_t place(std::uint32_t client, PlacementPolicy policy) noexcept {
-    const std::uint32_t s = pick(client, policy);
-    return s == kNoShard ? kNoShard : assign(client, s);
+    if (policy != PlacementPolicy::kLeastLoaded) {
+      const std::uint32_t s = pick(client, policy);
+      return s == kNoShard ? kNoShard : assign(client, s);
+    }
+    std::uint32_t s;
+    std::uint32_t load;
+    do {
+      s = pick(client, policy, &load);
+      if (s == kNoShard) return kNoShard;
+    } while (!shards[s].assigned.compare_exchange_weak(
+        load, load + 1, std::memory_order_acq_rel,
+        std::memory_order_relaxed));
+    const std::uint32_t old =
+        assignment_of[client].exchange(s, std::memory_order_acq_rel);
+    if (old != kNoShard) {
+      shards[old].assigned.fetch_sub(1, std::memory_order_acq_rel);
+    }
+    epoch.fetch_add(1, std::memory_order_acq_rel);
+    return s;
   }
 
   void unplace(std::uint32_t client) noexcept { assign(client, kNoShard); }
@@ -178,9 +204,8 @@ struct ShardMap {
     std::uint32_t moved = 0;
     for (std::uint32_t c = 0; c < MaxClients; ++c) {
       if (assignment(c) != dead) continue;
-      const std::uint32_t s = pick(c, policy);
-      if (s == kNoShard) break;  // no survivors: leave assignments in place
-      assign(c, s);
+      // No survivors: leave assignments in place.
+      if (place(c, policy) == kNoShard) break;
       ++moved;
     }
     return moved;

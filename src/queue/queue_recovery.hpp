@@ -12,7 +12,7 @@
 //
 //   1. mark every node on the pool's free list          (pool.mark_free)
 //   2. mark every node reachable from each queue        (q->mark_reachable,
-//      which also repairs a lagging tail and reseats the size counter)
+//      which also repairs a lagging tail word, index and count)
 //   3. a node that is neither free nor reachable is leaked; release it iff
 //      its stamped owner is dead — a LIVE owner may be microseconds from
 //      linking it in.

@@ -137,9 +137,11 @@ class NativePlatform {
   // FIFO across ring + overflow queue: only the single producer decides
   // where a message lands, and it spills to the overflow queue exactly when
   // the ring is full or the overflow queue is non-empty. Overflow observed
-  // empty (acquire read of its size) means every older message has already
-  // been copied out by the consumer, so a fresh ring enqueue cannot
-  // overtake anything.
+  // empty (acquire reads of its dequeue and enqueue counts) means every
+  // older message has already been copied out by the consumer, so a fresh
+  // ring enqueue cannot overtake anything: this producer's own enqueues
+  // are all counted when it checks, and a concurrent dequeue can only make
+  // the length read too high.
 
   // Every enqueue peeks a span stamp first (a mint, the adopted inbound
   // span for a reply, or untraced — see span_next_stamp) and COMMITS it via

@@ -104,9 +104,16 @@ TEST_F(CrashPointTest, DeathInsideTailLockIsStolenAndRepaired) {
     detail::enqueue_and_wake(plat, ep(), Message(Op::kEcho, 0, 5.0));
   });
   EXPECT_TRUE(died_at_marker(victim.join()));
+  EXPECT_EQ(ep().queue->size(), 0u)
+      << "an uncounted link may under-count, never over-count";
 
   ASSERT_TRUE(ep().queue->enqueue(Message(Op::kEcho, 0, 6.0)))
       << "survivor could not steal the corpse's tail lock";
+  std::uint32_t walked = 0;
+  ep().queue->for_each_pending([&](const Message&) { ++walked; });
+  EXPECT_EQ(walked, 2u);
+  EXPECT_EQ(ep().queue->size(), walked)
+      << "the steal's repair must recount the linked length";
   Message m;
   ASSERT_TRUE(ep().queue->dequeue(&m));
   EXPECT_DOUBLE_EQ(m.value, 5.0) << "victim's linked message must survive";
@@ -147,9 +154,10 @@ TEST_F(CrashPointTest, NthHitArmingCrashesOnTheNthEnqueue) {
 
 TEST_F(CrashPointTest, DeathInsideHeadLockLeaksTheDetachedDummy) {
   // Pre-fill three messages, then SIGKILL the consumer right after it
-  // advances head_ (old dummy detached but not yet released, size_ not yet
-  // decremented). The next dequeuer steals the head lock and continues;
-  // the detached dummy is the one leak, healed by the sweep.
+  // stores the head word (old dummy detached but not yet released; the
+  // dequeue count already includes it). The next dequeuer steals the head
+  // lock and continues; the detached dummy is the one leak, healed by the
+  // sweep.
   for (int i = 1; i <= 3; ++i) {
     ASSERT_TRUE(ep().queue->enqueue(Message(Op::kEcho, 0, double(i))));
   }
@@ -160,6 +168,7 @@ TEST_F(CrashPointTest, DeathInsideHeadLockLeaksTheDetachedDummy) {
         (void)plat.dequeue(ep(), &m);
       });
   EXPECT_TRUE(died_at_marker(victim.join()));
+  EXPECT_EQ(ep().queue->size(), 2u) << "one store advanced head and count";
 
   Message m;
   ASSERT_TRUE(ep().queue->dequeue(&m))

@@ -296,10 +296,10 @@ TEST_P(WaitSetExploreTest, BoundedDfsFindsNoViolations) {
             if (!ws.add(&a, 1) || !ws.add(&b, 2)) return;
             std::vector<std::uint64_t> ready;
             st = ws.wait(wait_plat.time_ns() + 5'000'000'000, &ready);
-            // The recheck reads size_, which the producer reserves before
-            // linking the node — a ready verdict can race the link. The
-            // scalar consumer protocol absorbs that window, exactly as the
-            // fan-in server's drain loop does.
+            // The recheck reads the queue's counts, and a producer counts
+            // its message only after linking it, so a ready verdict names
+            // a linked message. The scalar consumer protocol takes it,
+            // exactly as the fan-in server's drain loop does.
             if (st == Status::kOk) {
               detail::dequeue_or_sleep(wait_plat, a, &m,
                                        /*pre_busy_wait=*/false);

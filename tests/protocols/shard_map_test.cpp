@@ -6,8 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
 #include <set>
+#include <string>
+#include <thread>
 #include <vector>
 
 namespace ulipc {
@@ -45,6 +48,57 @@ TEST(ShardMapTest, LeastLoadedSpreadsClientsEvenly) {
     EXPECT_GE(a, 2u);
     EXPECT_LE(a, 3u);
   }
+}
+
+TEST(ShardMapTest, SimultaneousLeastLoadedConnectsSplitEvenly) {
+  // Four clients connect at once onto two shards, 2000 times over. Each
+  // must claim a shard that is least loaded when it claims it, so every
+  // round splits 2+2, never 3+1. The clients wait for each other at a
+  // start line, so their placements overlap.
+  constexpr std::uint32_t kClients = 4;
+  constexpr std::uint32_t kRounds = 2000;
+  Map m;
+  std::atomic<std::uint32_t> round_open{0};  // last round the map is ready for
+  std::atomic<std::uint32_t> at_start{0};
+  std::atomic<std::uint32_t> placed{0};
+  std::vector<std::thread> clients;
+  for (std::uint32_t c = 0; c < kClients; ++c) {
+    clients.emplace_back([&, c] {
+      for (std::uint32_t round = 1; round <= kRounds; ++round) {
+        while (round_open.load(std::memory_order_acquire) != round) {
+          std::this_thread::yield();
+        }
+        // Spin briefly so clients that are all on a CPU leave together;
+        // yield after that so a descheduled client does not cost the
+        // others whole time slices.
+        at_start.fetch_add(1, std::memory_order_acq_rel);
+        for (int spins = 0;
+             at_start.load(std::memory_order_acquire) != round * kClients;
+             ++spins) {
+          if (spins > (1 << 20)) std::this_thread::yield();
+        }
+        (void)m.place(c, PlacementPolicy::kLeastLoaded);
+        placed.fetch_add(1, std::memory_order_acq_rel);
+      }
+    });
+  }
+  int uneven = 0;
+  std::string first_uneven;
+  for (std::uint32_t round = 1; round <= kRounds; ++round) {
+    m.init(2);
+    round_open.store(round, std::memory_order_release);
+    while (placed.load(std::memory_order_acquire) != round * kClients) {
+      std::this_thread::yield();
+    }
+    const std::uint32_t a = m.shards[0].assigned.load();
+    const std::uint32_t b = m.shards[1].assigned.load();
+    if ((a != 2 || b != 2) && uneven++ == 0) {
+      first_uneven = "round " + std::to_string(round) + ": " +
+                     std::to_string(a) + "+" + std::to_string(b);
+    }
+  }
+  for (auto& t : clients) t.join();
+  EXPECT_EQ(uneven, 0) << "uneven splits, first " << first_uneven;
 }
 
 TEST(ShardMapTest, RendezvousIsDeterministicAndUsesAllShardsEventually) {

@@ -2,10 +2,13 @@
 //  * no message lost or duplicated under MPMC stress;
 //  * FIFO preserved per producer (the queue is globally FIFO, so each
 //    producer's messages must come out in its send order);
+//  * the capacity bound holds, and refused enqueues keep no node, under
+//    multi-producer contention;
 //  * works across real process boundaries (fork + anonymous shared region).
 #include <gtest/gtest.h>
 #include <sched.h>
 
+#include <algorithm>
 #include <atomic>
 #include <string>
 #include <thread>
@@ -102,6 +105,67 @@ INSTANTIATE_TEST_SUITE_P(
       return std::to_string(pinfo.param.producers) + "p" +
              std::to_string(pinfo.param.consumers) + "c";
     });
+
+// Four producers (two scalar, two batched) race one consumer through a
+// queue with room for 8. The capacity bound is checked under the tail lock
+// against the dequeue count, so the length the consumer reads — it is the
+// only dequeuer, so the count it subtracts cannot move under the read —
+// never exceeds 8. Refused enqueues must hand their nodes back: the pool
+// balances at the end.
+TEST(MpscCapacity, LengthNeverExceedsCapacityAndPoolBalances) {
+  constexpr std::uint32_t kCapacity = 8;
+  constexpr int kProducers = 4;
+  constexpr int kPerProducer = 5'000;
+  ShmRegion region = ShmRegion::create_anonymous(4 * 1024 * 1024);
+  ShmArena arena = ShmArena::format(region);
+  NodePool* pool = NodePool::create(arena, 64);
+  TwoLockQueue* q = TwoLockQueue::create(arena, pool, kCapacity);
+  const std::uint32_t free0 = pool->free_count();
+
+  std::vector<std::thread> producers;
+  for (int p = 0; p < kProducers; ++p) {
+    producers.emplace_back([&, p] {
+      const auto ch = static_cast<std::uint32_t>(p);
+      int sent = 0;
+      while (sent < kPerProducer) {
+        if (p % 2 == 0) {
+          if (q->enqueue(Message(Op::kEcho, ch, double(sent)))) ++sent;
+        } else {
+          Message burst[3];
+          const int n = std::min(3, kPerProducer - sent);
+          for (int i = 0; i < n; ++i) {
+            burst[i] = Message(Op::kEcho, ch, double(sent + i));
+          }
+          sent += static_cast<int>(
+              q->enqueue_batch(burst, static_cast<std::uint32_t>(n)));
+        }
+        std::this_thread::yield();
+      }
+    });
+  }
+
+  std::vector<double> next(kProducers, 0.0);
+  std::uint32_t max_seen = 0;
+  int out_of_order = 0;
+  int received = 0;
+  Message out[4];
+  while (received < kProducers * kPerProducer) {
+    max_seen = std::max(max_seen, q->size());
+    const std::uint32_t k = q->dequeue_batch(out, 4);
+    for (std::uint32_t i = 0; i < k; ++i) {
+      out_of_order += out[i].value != next[out[i].channel];
+      next[out[i].channel] = out[i].value + 1.0;
+    }
+    received += static_cast<int>(k);
+  }
+  for (auto& t : producers) t.join();
+
+  EXPECT_EQ(out_of_order, 0) << "per-producer FIFO violated";
+  EXPECT_LE(max_seen, kCapacity);
+  EXPECT_GT(max_seen, 0u);
+  EXPECT_TRUE(q->empty());
+  EXPECT_EQ(pool->free_count(), free0) << "a refused enqueue leaked a node";
+}
 
 TEST(QueueCrossProcess, ProducerChildConsumerParent) {
   ShmRegion region = ShmRegion::create_anonymous(4 * 1024 * 1024);

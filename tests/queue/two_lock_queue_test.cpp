@@ -90,8 +90,11 @@ TEST_F(TwoLockQueueTest, CapacityBoundAndSizeTrack) {
   for (int i = 0; i < 4; ++i) {
     ASSERT_TRUE(q->enqueue(Message(Op::kEcho, 0, i)));
   }
+  const std::uint32_t free_full = pool_->free_count();
   EXPECT_FALSE(q->enqueue(Message(Op::kEcho, 0, 99)));
   EXPECT_EQ(q->size(), 4u) << "a refused enqueue must leave the size alone";
+  EXPECT_EQ(pool_->free_count(), free_full)
+      << "a refused enqueue must not keep a node";
   Message m;
   ASSERT_TRUE(q->dequeue(&m));
   EXPECT_EQ(q->size(), 3u);
@@ -203,15 +206,23 @@ TEST_F(TwoLockQueueTest, BatchFifoAcrossBatchBoundaries) {
 }
 
 TEST_F(TwoLockQueueTest, BatchPartialOnCapacityBound) {
-  TwoLockQueue* q = make_queue(4);
-  Message in[6];
-  for (int i = 0; i < 6; ++i) in[i] = Message(Op::kEcho, 0, double(i));
-  EXPECT_EQ(q->enqueue_batch(in, 6), 4u) << "capacity caps the batch";
-  EXPECT_EQ(q->enqueue_batch(in + 4, 2), 0u) << "full queue takes nothing";
+  // Room for 3 of a 10-message batch: it must link 3 and take exactly 3
+  // nodes from the shared pool — a refused tail must not hold nodes other
+  // queues need.
+  TwoLockQueue* q = make_queue(5);
+  ASSERT_TRUE(q->enqueue(Message(Op::kEcho, 0, -2.0)));
+  ASSERT_TRUE(q->enqueue(Message(Op::kEcho, 0, -1.0)));
+  const std::uint32_t free_before = pool_->free_count();
+  Message in[10];
+  for (int i = 0; i < 10; ++i) in[i] = Message(Op::kEcho, 0, double(i));
+  EXPECT_EQ(q->enqueue_batch(in, 10), 3u) << "capacity caps the batch";
+  EXPECT_EQ(pool_->free_count(), free_before - 3);
+  EXPECT_EQ(q->enqueue_batch(in + 3, 2), 0u) << "full queue takes nothing";
+  EXPECT_EQ(pool_->free_count(), free_before - 3);
   Message out[8];
-  EXPECT_EQ(q->dequeue_batch(out, 8), 4u);
-  for (int i = 0; i < 4; ++i) {
-    EXPECT_DOUBLE_EQ(out[i].value, double(i));
+  EXPECT_EQ(q->dequeue_batch(out, 8), 5u);
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_DOUBLE_EQ(out[i + 2].value, double(i));
   }
 }
 
@@ -305,7 +316,7 @@ TEST_F(TwoLockQueueTest, MarkReachableCountsAndConserves) {
   std::uint32_t marked = 0;
   for (char c : mark) marked += c != 0;
   EXPECT_EQ(marked, 6u) << "5 elements + the dummy";
-  EXPECT_EQ(q->size(), 5u) << "a quiescent recount must reseat size exactly";
+  EXPECT_EQ(q->size(), 5u) << "a quiescent recount must agree with the count";
 }
 
 TEST_F(TwoLockQueueTest, ForEachPendingSkipsTheDummy) {

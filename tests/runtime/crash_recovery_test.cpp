@@ -65,9 +65,10 @@ class CrashRecoveryTest : public ::testing::Test {
   CrashOut* out_ = nullptr;
 };
 
-// A producer SIGKILLed between "link node" and "advance tail" leaves the
-// tail lock held and tail_ lagging. The next enqueuer must steal the lock,
-// repair the tail from head, and no message may be lost or duplicated.
+// A producer SIGKILLed between "link node" and "store the tail word"
+// leaves the tail lock held and the tail word lagging, in its index and in
+// its count. The next enqueuer must steal the lock, repair the tail word
+// from the head, and no message may be lost or duplicated.
 TEST_F(CrashRecoveryTest, TailStealRepairsHalfFinishedEnqueue) {
   build(1, /*duplex=*/false);
   TwoLockQueue& q = *channel_->server_endpoint().queue;
@@ -82,13 +83,19 @@ TEST_F(CrashRecoveryTest, TailStealRepairsHalfFinishedEnqueue) {
   });
   ASSERT_EQ(victim.join(), 0);
 
-  // The corpse still owns the tail lock.
+  // The corpse still owns the tail lock, and its linked message is not
+  // counted yet: size() may under-count until the repair, never over-count.
   EXPECT_NE(q.tail_lock().owner(), 0u);
   EXPECT_NE(q.tail_lock().owner(), robust_self_pid());
+  EXPECT_EQ(q.size(), 1u);
 
   // This enqueue must steal, repair, and append after the half-linked node.
   ASSERT_TRUE(q.enqueue(Message(Op::kEcho, 0, 3.0)));
   EXPECT_EQ(q.tail_lock().steal_count(), 1u);
+  std::uint32_t walked = 0;
+  q.for_each_pending([&](const Message&) { ++walked; });
+  EXPECT_EQ(walked, 3u);
+  EXPECT_EQ(q.size(), walked) << "the repair must recount the linked length";
 
   Message m;
   ASSERT_TRUE(q.dequeue(&m));
