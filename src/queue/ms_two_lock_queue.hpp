@@ -22,11 +22,15 @@
 //    tail lock. A producer caches the last dequeue count it read in its own
 //    line and re-reads the head word only when that cached length says
 //    full, so neither side writes a line the other side writes;
-//  * batched variants (enqueue_batch/dequeue_batch) amortize one lock
-//    acquisition over a whole burst: the enqueuer pre-links the node chain
-//    outside the lock and splices it with two writes, the dequeuer walks
-//    the list once under the head lock and releases the detached nodes
-//    after dropping it;
+//  * batched variants (enqueue_batch/dequeue_batch) amortize one queue-lock
+//    acquisition AND one pool-lock acquisition over a whole burst: the
+//    enqueuer pops an already-linked node chain from the pool in one pass
+//    (NodePool::allocate_chain), fills it outside both locks and splices
+//    it with two writes; the dequeuer walks the list once under the head
+//    lock and, after dropping it, pushes the detached run — still linked —
+//    back to the pool in one pass (NodePool::release_chain). The one extra
+//    pool pass is the enqueuer's return of the nodes that lost the
+//    capacity check under the tail lock;
 //  * the empty<->nonempty hand-off is the one point where the two critical
 //    sections touch without a common lock: the enqueuer link-publishes
 //    old_tail->next under the TAIL lock while a dequeuer reads it under the
@@ -131,16 +135,17 @@ class TwoLockQueue {
     return true;
   }
 
-  /// Appends up to `n` messages with ONE tail-lock acquisition: allocates
-  /// and pre-links a chain outside the lock — no longer than the room the
-  /// queue showed before allocating — then splices it in with the same two
-  /// ordered writes as a scalar enqueue (so the crash invariant is
-  /// unchanged — the tail word can only lag the last linked node). Returns
-  /// how many were appended; fewer than `n` (possibly 0) when the capacity
-  /// bound or the node pool runs out. Nodes that lose the capacity check
-  /// under the lock go back to the pool before this returns. The batch
-  /// carries at most one stamp, on its first node — span fidelity degrades
-  /// to one-sample-per-batch on batched paths.
+  /// Appends up to `n` messages with ONE tail-lock acquisition: pops an
+  /// already-linked chain from the pool in one pass — no longer than the
+  /// room the queue showed before allocating — fills it outside both
+  /// locks, then splices it in with the same two ordered writes as a
+  /// scalar enqueue (so the crash invariant is unchanged — the tail word
+  /// can only lag the last linked node). Returns how many were appended;
+  /// fewer than `n` (possibly 0) when the capacity bound or the node pool
+  /// runs out. Nodes that lose the capacity check under the lock go back
+  /// to the pool, as one chain, before this returns. The batch carries at
+  /// most one stamp, on its first node — span fidelity degrades to
+  /// one-sample-per-batch on batched paths.
   std::uint32_t enqueue_batch(const Message* msgs, std::uint32_t n,
                               SpanStamp stamp = {}) noexcept {
     const std::uint32_t want = room_for(n);
@@ -149,23 +154,19 @@ class TwoLockQueue {
     NodePool& pool = *pool_;
     ShmIndex first = kNullIndex;
     ShmIndex last = kNullIndex;
-    std::uint32_t got = 0;
-    for (; got < want; ++got) {
-      const ShmIndex idx = pool.allocate();
-      if (idx == kNullIndex) break;  // pool exhausted: splice what we have
-      MsgNode& node = pool.node(idx);
-      node_store(node.msg, msgs[got]);
-      node_store(node.span, got == 0 ? stamp : SpanStamp{});
-      if (first == kNullIndex) {
-        first = idx;
-      } else {
-        node_store(pool.node(last).next, idx);
-      }
-      last = idx;
-    }
+    // A short chain when the pool runs low: splice what we have.
+    const std::uint32_t got = pool.allocate_chain(want, &first, &last);
     if (got == 0) return 0;
+    ShmIndex idx = first;
+    for (std::uint32_t i = 0; i < got; ++i) {
+      MsgNode& node = pool.node(idx);
+      node_store(node.msg, msgs[i]);
+      node_store(node.span, i == 0 ? stamp : SpanStamp{});
+      idx = node_load(node.next);
+    }
     explore::point(explore::Point::kQEnqueueNodeReady);
     std::uint32_t linked;
+    ShmIndex cut = last;     // last node spliced in
     ShmIndex spare = first;  // start of the nodes that did not fit
     {
       RobustGuard g(tail_lock_.value);
@@ -174,21 +175,21 @@ class TwoLockQueue {
       linked = admit_locked(count_of(tail), got);
       if (linked != 0) {
         if (linked < got) {  // the chain is still private: cut it
-          last = first;
+          cut = first;
           for (std::uint32_t i = 1; i < linked; ++i) {
-            last = node_load(pool.node(last).next);
+            cut = node_load(pool.node(cut).next);
           }
-          spare = node_load(pool.node(last).next);
-          node_store(pool.node(last).next, kNullIndex);
+          spare = node_load(pool.node(cut).next);
+          node_store(pool.node(cut).next, kNullIndex);
         }
         node_store(pool.node(index_of(tail)).next, first,
                    std::memory_order_release);
         explore::point(explore::Point::kQEnqueueLinked);
-        tail_.store(pack(last, count_of(tail) + linked),
+        tail_.store(pack(cut, count_of(tail) + linked),
                     std::memory_order_release);
       }
     }
-    if (linked < got) release_chain(pool, spare, got - linked);
+    if (linked < got) pool.release_chain(spare, last, got - linked);
     if (linked == 0) return 0;
     explore::point(explore::Point::kQEnqueueDone);
     return linked;
@@ -232,15 +233,17 @@ class TwoLockQueue {
   /// Removes up to `max` messages with ONE head-lock acquisition. The
   /// critical section stays a single head-word store (after copying the
   /// messages out), so the crash invariant matches scalar dequeue. The
-  /// detached nodes — unreachable once the head advances — are released
-  /// after the lock is dropped. Returns how many were removed (0 when
-  /// empty). When `stamp` is non-null it receives the LAST traced stamp in
-  /// the batch (id 0 if none was traced).
+  /// detached nodes — unreachable once the head advances, and still linked
+  /// to each other — go back to the pool as one chain after the lock is
+  /// dropped. Returns how many were removed (0 when empty). When `stamp`
+  /// is non-null it receives the LAST traced stamp in the batch (id 0 if
+  /// none was traced).
   std::uint32_t dequeue_batch(Message* out, std::uint32_t max,
                               SpanStamp* stamp = nullptr) noexcept {
     if (max == 0) return 0;
     NodePool& pool = *pool_;
     ShmIndex chain;  // old dummy; start of the detached run
+    ShmIndex chain_last = kNullIndex;  // last node of the detached run
     std::uint32_t got = 0;
     {
       RobustGuard g(head_lock_.value);
@@ -264,6 +267,7 @@ class TwoLockQueue {
           const SpanStamp sp = node_load(pool.node(next).span);
           if (sp.traced()) *stamp = sp;
         }
+        chain_last = head;
         head = next;
         node_store(pool.node(head).owner_pid, me);
       }
@@ -273,9 +277,10 @@ class TwoLockQueue {
                         std::memory_order_release);
       explore::point(explore::Point::kQDequeueAdvanced);
     }
-    // Release the old dummy plus the first got-1 message nodes. Their next
-    // links are still intact; no other process can reach them.
-    release_chain(pool, chain, got);
+    // Push the old dummy plus the first got-1 message nodes in one pool
+    // pass: their next links still chain them, and no other process can
+    // reach them.
+    pool.release_chain(chain, chain_last, got);
     explore::point(explore::Point::kQDequeueDone);
     return got;
   }
@@ -434,17 +439,6 @@ class TwoLockQueue {
       room = room_after(enq - deq);
     }
     return std::min(room, want);
-  }
-
-  /// Returns `n` nodes, following next links from `first`, to the pool.
-  /// release() may repurpose a node's link, so each is read first.
-  static void release_chain(NodePool& pool, ShmIndex first,
-                            std::uint32_t n) noexcept {
-    for (std::uint32_t i = 0; i < n; ++i) {
-      const ShmIndex next = node_load(pool.node(first).next);
-      pool.release(first);
-      first = next;
-    }
   }
 
   /// Fixes the one invariant a dead enqueuer can break: the tail word must

@@ -5,17 +5,30 @@
 // array (see ShmIndex in shm/offset_ptr.hpp); links are indices, never
 // pointers, so the structure is valid at any mapping address.
 //
-// The free list is a LIFO protected by a RobustSpinlock. Producers
-// allocate, consumers release; both may live in different processes — and
-// may die at any instruction. Crash-safety measures:
+// The free list is a LIFO threaded through the nodes' `next` links and
+// protected by a RobustSpinlock. Producers allocate, consumers release;
+// both may live in different processes — and may die at any instruction.
+// Scalar allocate()/release() move one node per lock acquisition; the
+// chain ops move a burst in one: allocate_chain() pops up to n nodes and
+// hands them back already linked first to last, release_chain() splices a
+// linked chain back in front of the free head. Crash-safety measures:
 //  * every allocated node is stamped with its allocator's pid, so a
 //    recovery sweep can tell "in flight on a live process" from "orphaned
 //    by a corpse" (see queue/queue_recovery.hpp);
+//  * each chain op commits with ONE store of the free head, and the owner
+//    stamps bracket that store: a pop stamps its nodes while they are
+//    still free-listed, then moves the free head past them; a push links
+//    its last node to the free head, stores the new head, and only then
+//    clears the stamps. A corpse on either side of the commit leaves
+//    either free-listed nodes (a stale stamp there is harmless: every pop
+//    re-stamps) or an unreachable chain that its dead pid still owns —
+//    never an unreachable node with owner 0, which no sweep could tell
+//    from a live one;
 //  * a stolen free-list lock triggers recount_free_locked(), which repairs
-//    free_count_ after a death inside allocate()/release() (the list links
-//    themselves stay consistent at every intermediate step — the only
-//    damage a corpse can do here is a stale counter or a leaked node, and
-//    leaked nodes are reclaimed by the sweep).
+//    free_count_ after a death inside an allocate or release (the list
+//    links themselves stay consistent at every intermediate step — the
+//    only damage a corpse can do here is a stale counter or a leaked node,
+//    and leaked nodes are reclaimed by the sweep).
 #pragma once
 
 #include <atomic>
@@ -136,6 +149,48 @@ class NodePool {
     node_store(node(idx).next, free_head_);
     free_head_ = idx;
     ++free_count_;
+  }
+
+  /// Pops up to `n` nodes under one acquisition of the free-list lock and
+  /// returns how many it popped: fewer than `n` when the pool runs low, 0
+  /// when it is empty. The popped nodes come back in *first..*last, linked
+  /// through `next` in that order with a null link after *last, each
+  /// stamped with the caller's pid until it is released.
+  std::uint32_t allocate_chain(std::uint32_t n, ShmIndex* first,
+                               ShmIndex* last) noexcept {
+    const std::uint32_t me = robust_self_pid();
+    RobustGuard g(lock_.value);
+    if (g.stolen()) recount_free_locked();
+    ShmIndex tail = kNullIndex;
+    std::uint32_t got = 0;
+    // Stamp while the nodes are still free-listed (see the header).
+    for (ShmIndex i = free_head_; i != kNullIndex && got < n;
+         i = node_load(node(i).next)) {
+      node_store(node(i).owner_pid, me);
+      tail = i;
+      ++got;
+    }
+    if (got == 0) return 0;
+    *first = free_head_;
+    *last = tail;
+    free_head_ = node_load(node(tail).next);  // commits the pop
+    node_store(node(tail).next, kNullIndex);
+    free_count_ -= got;
+    return got;
+  }
+
+  /// Pushes the `n` nodes of a chain linked from `first` to `last` back to
+  /// the pool under one acquisition of the free-list lock. `n` >= 1.
+  void release_chain(ShmIndex first, ShmIndex last, std::uint32_t n) noexcept {
+    RobustGuard g(lock_.value);
+    if (g.stolen()) recount_free_locked();
+    node_store(node(last).next, free_head_);
+    free_head_ = first;  // commits the push
+    free_count_ += n;
+    // Clear the stamps only now: the chain is free-listed (see the header).
+    for (ShmIndex i = first; n > 0; --n, i = node_load(node(i).next)) {
+      node_store(node(i).owner_pid, 0);
+    }
   }
 
   [[nodiscard]] MsgNode& node(ShmIndex idx) noexcept {

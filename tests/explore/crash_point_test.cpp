@@ -8,6 +8,10 @@
 //   * the same, but on the Nth enqueue of a burst (nth-hit arming),
 //   * a corpse past the head advance with the detached dummy unreleased
 //     (dies inside the head lock),
+//   * a batch producer dying with its popped node chain filled but never
+//     linked (the chain pop's owner stamps make every node reclaimable),
+//   * a batch consumer dying past the head advance with its detached run
+//     (old dummy plus all but the last dequeued node) unreleased,
 //   * a producer dying between its tas(awake) and its V.
 #include <gtest/gtest.h>
 
@@ -182,6 +186,64 @@ TEST_F(CrashPointTest, DeathInsideHeadLockLeaksTheDetachedDummy) {
   const RecoveryStats stats = sweep_leaked_nodes(
       channel_->node_pool(), channel_->all_queues(), nullptr);
   EXPECT_EQ(stats.nodes_reclaimed, 1u);
+  EXPECT_EQ(channel_->node_pool().free_count(), free0_);
+  EXPECT_TRUE(invariants().ok()) << invariants().to_string();
+}
+
+TEST_F(CrashPointTest, BatchDeathBeforeLinkLeaksOnlyThePrivateChain) {
+  // SIGKILL an enqueue_batch of 5 after its chain is popped and filled
+  // but before the tail lock: all five nodes are unreachable, and only
+  // their owner stamps — written while they were still free-listed — let
+  // the sweep tell them from a live producer's chain.
+  ChildProcess victim =
+      run_victim_to_crash(Point::kQEnqueueNodeReady, 1, [&] {
+        NativePlatform plat;
+        Message burst[5];
+        for (int i = 0; i < 5; ++i) {
+          burst[i] = Message(Op::kEcho, 0, double(i + 1));
+        }
+        detail::enqueue_batch_and_wake(plat, ep(), burst, 5);
+      });
+  EXPECT_TRUE(died_at_marker(victim.join()));
+  EXPECT_TRUE(ep().queue->empty()) << "the chain was never published";
+  EXPECT_EQ(channel_->node_pool().free_count(), free0_ - 5);
+
+  EXPECT_FALSE(invariants().ok()) << "the corpse's chain must read as leaked";
+  const RecoveryStats stats = sweep_leaked_nodes(
+      channel_->node_pool(), channel_->all_queues(), nullptr);
+  EXPECT_EQ(stats.nodes_reclaimed, 5u);
+  EXPECT_EQ(channel_->node_pool().free_count(), free0_);
+  EXPECT_TRUE(invariants().ok()) << invariants().to_string();
+}
+
+TEST_F(CrashPointTest, BatchDeathInsideHeadLockLeaksTheDetachedRun) {
+  // Queue four messages, then SIGKILL a dequeue_batch of 3 right after it
+  // stores the head word: message 3's node is the new dummy, and the old
+  // dummy plus the nodes of messages 1 and 2 are detached but not yet
+  // pushed back. The survivor reads message 4; the sweep takes back the
+  // three-node run the corpse owned.
+  for (int i = 1; i <= 4; ++i) {
+    ASSERT_TRUE(ep().queue->enqueue(Message(Op::kEcho, 0, double(i))));
+  }
+  ChildProcess victim =
+      run_victim_to_crash(Point::kQDequeueAdvanced, 1, [&] {
+        NativePlatform plat;
+        Message out[3];
+        (void)plat.dequeue_batch(ep(), out, 3);
+      });
+  EXPECT_TRUE(died_at_marker(victim.join()));
+  EXPECT_EQ(ep().queue->size(), 1u) << "one store advanced head and count";
+
+  Message m;
+  ASSERT_TRUE(ep().queue->dequeue(&m))
+      << "survivor could not steal the corpse's head lock";
+  EXPECT_DOUBLE_EQ(m.value, 4.0) << "messages 1-3 died with their consumer";
+  EXPECT_FALSE(ep().queue->dequeue(&m));
+
+  EXPECT_FALSE(invariants().ok()) << "the detached run must read as leaked";
+  const RecoveryStats stats = sweep_leaked_nodes(
+      channel_->node_pool(), channel_->all_queues(), nullptr);
+  EXPECT_EQ(stats.nodes_reclaimed, 3u) << "the old dummy plus two nodes";
   EXPECT_EQ(channel_->node_pool().free_count(), free0_);
   EXPECT_TRUE(invariants().ok()) << invariants().to_string();
 }

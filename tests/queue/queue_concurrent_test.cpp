@@ -2,6 +2,8 @@
 //  * no message lost or duplicated under MPMC stress;
 //  * FIFO preserved per producer (the queue is globally FIFO, so each
 //    producer's messages must come out in its send order);
+//  * the same through the batched ops, with a pool small enough that the
+//    node-pool chain pops and pushes race each other, and the pool balances;
 //  * the capacity bound holds, and refused enqueues keep no node, under
 //    multi-producer contention;
 //  * works across real process boundaries (fork + anonymous shared region).
@@ -27,57 +29,61 @@ struct MpmcParam {
   int messages_per_producer;
 };
 
-class MpmcStressTest : public ::testing::TestWithParam<MpmcParam> {};
+constexpr std::uint32_t kBatchWidth = 8;  // widest burst on batched shapes
 
-TEST_P(MpmcStressTest, NoLossNoDupFifoPerProducer) {
-  const MpmcParam param = GetParam();
-  ShmRegion region = ShmRegion::create_anonymous(8 * 1024 * 1024);
-  ShmArena arena = ShmArena::format(region);
-  NodePool* pool = NodePool::create(
-      arena, static_cast<std::uint32_t>(param.producers * 64 + 8));
-  TwoLockQueue* q = TwoLockQueue::create(arena, pool);
+// received[c][p] lists the sequence numbers consumer c saw from producer
+// p, in arrival order.
+using Received = std::vector<std::vector<std::vector<int>>>;
 
+/// Runs param.producers threads that call `send(p, next, call)` — it
+/// enqueues producer p's messages next, next+1, ... (channel p, value =
+/// sequence number) and returns how many went in, 0 meaning "retry" — and
+/// param.consumers threads that call `receive(out)`, which writes up to
+/// kBatchWidth messages and returns how many. Returns when every message
+/// has arrived and all threads are joined.
+template <typename Send, typename Receive>
+Received run_mpmc(const MpmcParam& param, Send send, Receive receive) {
   const int total = param.producers * param.messages_per_producer;
   std::atomic<int> consumed{0};
-  // received[p] collects sequence numbers seen from producer p, in arrival
-  // order, per consumer; we validate monotonicity per (producer, consumer)
-  // then global completeness.
-  std::vector<std::vector<std::vector<int>>> received(
+  Received received(
       static_cast<std::size_t>(param.consumers),
       std::vector<std::vector<int>>(static_cast<std::size_t>(param.producers)));
 
   std::vector<std::thread> threads;
   for (int c = 0; c < param.consumers; ++c) {
     threads.emplace_back([&, c] {
-      Message m;
+      Message out[kBatchWidth];
       while (consumed.load(std::memory_order_relaxed) < total) {
-        if (q->dequeue(&m)) {
-          consumed.fetch_add(1, std::memory_order_relaxed);
-          received[static_cast<std::size_t>(c)][m.channel].push_back(
-              static_cast<int>(m.value));
+        const std::uint32_t k = receive(out);
+        if (k == 0) continue;
+        consumed.fetch_add(static_cast<int>(k), std::memory_order_relaxed);
+        for (std::uint32_t i = 0; i < k; ++i) {
+          received[static_cast<std::size_t>(c)][out[i].channel].push_back(
+              static_cast<int>(out[i].value));
         }
       }
     });
   }
   for (int p = 0; p < param.producers; ++p) {
     threads.emplace_back([&, p] {
-      for (int i = 0; i < param.messages_per_producer; ++i) {
-        const Message m(Op::kEcho, static_cast<std::uint32_t>(p),
-                        static_cast<double>(i));
-        while (!q->enqueue(m)) {
-          std::this_thread::yield();  // pool momentarily exhausted
-        }
+      int next = 0;
+      for (std::uint32_t call = 0; next < param.messages_per_producer; ++call) {
+        const std::uint32_t k = send(p, next, call);
+        if (k == 0) std::this_thread::yield();  // pool or queue full
+        next += static_cast<int>(k);
       }
     });
   }
   for (auto& t : threads) t.join();
-
   EXPECT_EQ(consumed.load(), total);
-  EXPECT_TRUE(q->empty());
+  return received;
+}
 
-  // Single-consumer FIFO check: with one consumer the per-producer streams
-  // must be exactly 0..n-1 in order. With multiple consumers, each
-  // consumer's view of one producer must be strictly increasing.
+/// Single-consumer FIFO check: with one consumer the per-producer streams
+/// must be exactly 0..n-1 in order. With multiple consumers, each
+/// consumer's view of one producer must be strictly increasing, and the
+/// views together must hold every message once.
+void expect_no_loss_and_fifo(const MpmcParam& param, const Received& received) {
   std::vector<int> counts(static_cast<std::size_t>(param.producers), 0);
   for (int c = 0; c < param.consumers; ++c) {
     for (int p = 0; p < param.producers; ++p) {
@@ -94,6 +100,73 @@ TEST_P(MpmcStressTest, NoLossNoDupFifoPerProducer) {
     EXPECT_EQ(counts[static_cast<std::size_t>(p)], param.messages_per_producer)
         << "lost or duplicated messages from producer " << p;
   }
+}
+
+class MpmcStressTest : public ::testing::TestWithParam<MpmcParam> {};
+
+TEST_P(MpmcStressTest, NoLossNoDupFifoPerProducer) {
+  const MpmcParam param = GetParam();
+  ShmRegion region = ShmRegion::create_anonymous(8 * 1024 * 1024);
+  ShmArena arena = ShmArena::format(region);
+  NodePool* pool = NodePool::create(
+      arena, static_cast<std::uint32_t>(param.producers * 64 + 8));
+  TwoLockQueue* q = TwoLockQueue::create(arena, pool);
+  const std::uint32_t free0 = pool->free_count();
+
+  const Received received = run_mpmc(
+      param,
+      [&](int p, int next, std::uint32_t) -> std::uint32_t {
+        const Message m(Op::kEcho, static_cast<std::uint32_t>(p),
+                        static_cast<double>(next));
+        return q->enqueue(m) ? 1 : 0;
+      },
+      [&](Message* out) -> std::uint32_t { return q->dequeue(out) ? 1 : 0; });
+
+  EXPECT_TRUE(q->empty());
+  EXPECT_EQ(pool->free_count(), free0);
+  expect_no_loss_and_fifo(param, received);
+}
+
+// The same shapes through the chain ops: producers send bursts whose width
+// cycles 1..kBatchWidth, consumers take up to kBatchWidth per call. The
+// pool is sized so the producers' chains run it dry (partial chain pops)
+// and the queue's capacity bound cuts chains under the tail lock (spare
+// chains go back), while consumers push their detached runs back — every
+// chain path of the pool races every other. The pool must balance.
+TEST_P(MpmcStressTest, BatchedNoLossNoDupFifoPerProducer) {
+  const MpmcParam param = GetParam();
+  ShmRegion region = ShmRegion::create_anonymous(8 * 1024 * 1024);
+  ShmArena arena = ShmArena::format(region);
+  const auto nodes =
+      static_cast<std::uint32_t>(param.producers) * kBatchWidth / 2 + 2;
+  NodePool* pool = NodePool::create(arena, nodes);
+  TwoLockQueue* q = TwoLockQueue::create(arena, pool, kBatchWidth);
+  const std::uint32_t free0 = pool->free_count();
+
+  const Received received = run_mpmc(
+      param,
+      [&](int p, int next, std::uint32_t call) -> std::uint32_t {
+        const auto left =
+            static_cast<std::uint32_t>(param.messages_per_producer - next);
+        const std::uint32_t n = std::min(1 + call % kBatchWidth, left);
+        Message burst[kBatchWidth];
+        for (std::uint32_t i = 0; i < n; ++i) {
+          burst[i] = Message(Op::kEcho, static_cast<std::uint32_t>(p),
+                             static_cast<double>(next) + i);
+        }
+        return q->enqueue_batch(burst, n);
+      },
+      [&](Message* out) {
+        const std::uint32_t k = q->dequeue_batch(out, kBatchWidth);
+        // A shape runs up to eight threads, and the pool holds only a few
+        // chains: an idle consumer yields so that producers can refill.
+        if (k == 0) std::this_thread::yield();
+        return k;
+      });
+
+  EXPECT_TRUE(q->empty());
+  EXPECT_EQ(pool->free_count(), free0) << "a chain op lost or doubled a node";
+  expect_no_loss_and_fifo(param, received);
 }
 
 INSTANTIATE_TEST_SUITE_P(
